@@ -2,7 +2,6 @@
 """Gate a fresh benchmark run against its committed BENCH_*.json baseline.
 
 Usage:
-    check_bench_regression.py warmstart  BENCH_warmstart.json  <fresh-output>
     check_bench_regression.py presolve   BENCH_presolve.json   <fresh-output>
     check_bench_regression.py serve      BENCH_serve.json      <fresh-output>
     check_bench_regression.py parametric BENCH_parametric.json <fresh-output>
@@ -64,38 +63,6 @@ def extract_json_objects(path):
     return objects
 
 
-def check_warmstart(baseline, fresh_objects):
-    fresh = {doc["name"]: doc for doc in fresh_objects
-             if doc.get("bench") == "warmstart" and "name" in doc}
-    if not fresh:
-        fail("warmstart: no per-benchmark JSON lines in the fresh output")
-        return
-    for base in baseline["benchmarks"]:
-        name = base["name"]
-        doc = fresh.get(name)
-        if doc is None:
-            fail(f"warmstart/{name}: missing from the fresh run")
-            continue
-        check_eq(f"warmstart/{name}.boundsIdentical",
-                 doc.get("boundsIdentical"), True)
-        check_eq(f"warmstart/{name}.bound", doc.get("bound"), base["bound"])
-        check_eq(f"warmstart/{name}.constraintSets",
-                 doc.get("constraintSets"), base["constraintSets"])
-        for side in ("warm", "cold"):
-            for field in ("simplexPivots", "ilpPivots", "probePivots",
-                          "seedPivots", "lpCalls", "dedupedSets",
-                          "dominatedSets"):
-                check_eq(f"warmstart/{name}.{side}.{field}",
-                         doc[side].get(field), base[side][field])
-            check_wall(f"warmstart/{name}.{side}.wallMicros",
-                       doc[side].get("wallMicros", 0),
-                       base[side]["wallMicros"])
-    extra = set(fresh) - {b["name"] for b in baseline["benchmarks"]}
-    for name in sorted(extra):
-        fail(f"warmstart/{name}: present in the fresh run but not the "
-             f"baseline — update BENCH_warmstart.json deliberately")
-
-
 def check_presolve(baseline, fresh_objects):
     fresh = {doc["name"]: doc for doc in fresh_objects
              if doc.get("bench") == "presolve" and "name" in doc}
@@ -115,8 +82,8 @@ def check_presolve(baseline, fresh_objects):
                  doc.get("constraintSets"), base["constraintSets"])
         for side in ("on", "off"):
             for field in ("simplexPivots", "ilpPivots", "probePivots",
-                          "seedPivots", "lpCalls", "rowsRemoved",
-                          "colsFixed", "substitutions", "rounds"):
+                          "lpCalls", "rowsRemoved", "colsFixed",
+                          "substitutions", "rounds"):
                 check_eq(f"presolve/{name}.{side}.{field}",
                          doc[side].get(field), base[side][field])
             check_wall(f"presolve/{name}.{side}.wallMicros",
@@ -181,7 +148,6 @@ def check_parametric(baseline, fresh_objects):
 
 
 CHECKERS = {
-    "warmstart": check_warmstart,
     "presolve": check_presolve,
     "serve": check_serve,
     "parametric": check_parametric,

@@ -26,7 +26,6 @@ const char* checkKindStr(CheckKind kind) {
     case CheckKind::CacheNotTighter: return "cache-not-tighter";
     case CheckKind::ConstraintMoved: return "constraint-moved";
     case CheckKind::JobsMismatch: return "jobs-mismatch";
-    case CheckKind::WarmColdMismatch: return "warm-cold-mismatch";
     case CheckKind::PresolveMismatch: return "presolve-mismatch";
     case CheckKind::CacheReplay: return "cache-replay";
     case CheckKind::DegradedThrow: return "degraded-throw";
@@ -222,38 +221,15 @@ OracleReport DifferentialOracle::check(const GeneratedProgram& program,
       }
     }
 
-    // Warm-start A/B: the incremental engine (dedup, seed basis,
-    // dual-simplex warm starts) must leave the interval bit-identical.
-    {
-      ipet::SolveControl coldControl;
-      coldControl.warmStart = false;
-      const ipet::Estimate cold = analyzer.estimate(coldControl);
-      if (cold.bound != single.bound) {
-        add(CheckKind::WarmColdMismatch,
-            "warm " + intervalStr(single.bound.lo, single.bound.hi) +
-                " != cold " + intervalStr(cold.bound.lo, cold.bound.hi));
-      }
-    }
-
-    // Presolve A/B on the constrained analyzer, both with and without
-    // warm starts: user constraints are where reductions interact with
-    // the loop-bound and disjunction rows, and the cold pairing checks
-    // the reduced-tableau path without the warm ladder in front of it.
+    // Presolve A/B on the constrained analyzer: user constraints are
+    // where reductions interact with the loop-bound and disjunction rows.
     if (options_.checkPresolve) {
-      for (const bool warm : {true, false}) {
-        ipet::SolveControl noPresolve;
-        noPresolve.presolve = false;
-        noPresolve.warmStart = warm;
-        ipet::SolveControl withPresolve;
-        withPresolve.warmStart = warm;
-        const ipet::Estimate on = analyzer.estimate(withPresolve);
-        const ipet::Estimate off = analyzer.estimate(noPresolve);
-        std::string why;
-        if (!samePresolveResult(on, off, &why)) {
-          add(CheckKind::PresolveMismatch,
-              std::string("constrained ") + (warm ? "warm" : "cold") +
-                  ": " + why);
-        }
+      ipet::SolveControl noPresolve;
+      noPresolve.presolve = false;
+      const ipet::Estimate off = analyzer.estimate(noPresolve);
+      std::string why;
+      if (!samePresolveResult(single, off, &why)) {
+        add(CheckKind::PresolveMismatch, "constrained: " + why);
       }
     }
   } catch (const Error& e) {

@@ -39,19 +39,6 @@ struct IlpStats {
   int checkedPromotions = 0;
   /// LP calls that fell back to Bland's rule after Dantzig cycled.
   int blandRestarts = 0;
-  /// LP calls that ran from a warm basis (parent node or seed), skipping
-  /// the cold two-phase solve.
-  int warmStarts = 0;
-  /// LP calls solved cold (no usable warm basis).
-  int coldStarts = 0;
-  /// Dual-simplex repair pivots across all warm-started LP calls
-  /// (included in totalPivots).
-  int dualPivots = 0;
-  /// Basis-installation eliminations across all warm-started LP calls
-  /// (refactorization work; NOT included in totalPivots).
-  int installPivots = 0;
-  /// Warm bases that could not be used (the call fell back cold).
-  int warmFailures = 0;
   /// Devex reference-framework pivots across all LP calls (included in
   /// totalPivots; the remainder ran under Dantzig or Bland).
   int devexPivots = 0;
@@ -87,12 +74,6 @@ struct IlpSolution {
   /// haveRelaxationBound; the degradation ladder falls back to it.
   double relaxationBound = 0.0;
   bool haveRelaxationBound = false;
-  /// Final basis of the root LP relaxation (valid when haveRootBasis).
-  /// The analyzer chains it into the opposite-objective ILP over the
-  /// same constraint set: min and max share one basis as each other's
-  /// warm-start seed.
-  lp::Basis rootBasis;
-  bool haveRootBasis = false;
   IlpStats stats;
 };
 
@@ -106,16 +87,6 @@ struct IlpOptions {
   /// IlpStatus::Interrupted (incumbent, if any, is preserved).  Used by
   /// the analyzer's deadline so a set never runs past its budget.
   std::function<bool()> interrupt;
-  /// Warm-start child nodes from their parent's final basis (a branch
-  /// cut is repaired by a few dual pivots instead of a full two-phase
-  /// solve).  Results are bit-identical either way; off is for A/B
-  /// measurement (CLI --no-warm-start).
-  bool warmStart = true;
-  /// Optional external seed basis for the root relaxation (e.g. the
-  /// shared structural basis of the analyzer's constraint-set family).
-  /// Must come from a problem whose rows are a prefix of this one's.
-  /// Only consulted when warmStart is on; may be null.
-  const lp::Basis* rootBasis = nullptr;
   lp::SimplexOptions lpOptions;
 };
 

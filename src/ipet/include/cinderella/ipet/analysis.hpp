@@ -9,7 +9,6 @@
 //
 //   request -> resolve input -> Analyzer -> systemDigests()
 //           -> bound-cache lookup (full digest): hit => answer, no solve
-//           -> basis-cache lookup (structural digest): hit => warm start
 //           -> estimate() -> admission-gated insert -> result
 //
 // The service accepts three inputs: MiniC source, the name of a built-in
@@ -85,9 +84,8 @@ struct AnalysisRequest {
   std::vector<ParamDecl> parameters;
   CacheMode cacheMode = CacheMode::AllMiss;
   CachePolicy cachePolicy = CachePolicy::ReadWrite;
-  /// Per-solve resource policy (threads, deadline, warm start, tracer,
-  /// cancel).  The seed-basis import/export fields are owned by the
-  /// service and overwritten; set everything else freely.
+  /// Per-solve resource policy (threads, deadline, presolve, tracer,
+  /// cancel).
   SolveControl control;
 };
 
@@ -99,7 +97,7 @@ struct AnalysisResult {
   Estimate estimate;
   /// Content-addressed keys of the analysed system (see digest.hpp).
   /// For LP input the two digests coincide: there is no shared
-  /// structural core to key a seed basis by.  For parametric requests
+  /// structural core.  For parametric requests
   /// both fields hold the *parametric* digest (the formula-cache key —
   /// what the serve "evaluate" op takes).
   Digest fullDigest;
@@ -109,8 +107,6 @@ struct AnalysisResult {
   std::optional<WcetFormula> formula;
   /// The bound was served from the cache; no solve ran.
   bool cacheHit = false;
-  /// A cached structural basis warm-started this solve.
-  bool basisWarmStarted = false;
   /// Wall µs of the whole analyze() call (compile + digest + solve).
   std::int64_t wallMicros = 0;
   /// On a cache hit: wall µs the original cold solve took (what the

@@ -126,21 +126,12 @@ struct SolveControl {
   /// Optional cooperative cancellation: set to true from any thread to
   /// make estimate() stop early and throw AnalysisError.
   const std::atomic<bool>* cancel = nullptr;
-  /// Incremental solve engine (default on): canonicalize and hash the
-  /// expanded constraint sets to skip duplicate and superset-dominated
-  /// sets, factor the shared structural rows into one seed basis, and
-  /// warm-start every LP from the nearest related basis (probe from the
-  /// structural seed, ILP root from the probe, best from worst's root,
-  /// branch-and-bound children from their parent) with a dual-simplex
-  /// repair phase.  Bounds are bit-identical with this off (CLI
-  /// --no-warm-start); off exists for A/B measurement and bisection.
-  bool warmStart = true;
   /// Presolve/postsolve reduction engine (default on): every LP is
   /// shrunk by exact-integer fixpoint reductions — singleton-equality
   /// substitution, bound propagation, fixed-variable elimination, and
   /// redundant-row removal — before it reaches the simplex, with a
-  /// postsolve stack mapping reduced-space solutions and bases back to
-  /// the original column space.  Bounds are bit-identical with this
+  /// postsolve stack mapping reduced-space solutions back to the
+  /// original variable space.  Bounds are bit-identical with this
   /// off (CLI --no-presolve); off exists for A/B measurement and
   /// bisection.
   bool presolve = true;
@@ -151,18 +142,6 @@ struct SolveControl {
   /// costs nothing and emits nothing.  Tracing never affects the
   /// returned Estimate.
   obs::Tracer* tracer = nullptr;
-  /// Optional externally supplied structural seed basis — typically the
-  /// SolveCache entry of a system sharing this one's structural digest.
-  /// The structural-seed solve warm-starts from it instead of running
-  /// cold; a basis that cannot be installed falls back exactly like any
-  /// other warm failure, so the bound never depends on what is supplied
-  /// here.  Ignored when empty/null or when warmStart is off.
-  const lp::Basis* importSeedBasis = nullptr;
-  /// When non-null, receives the structural seed basis this estimate()
-  /// computed (empty when the warm engine was off or the seed solve
-  /// failed).  This is the basis a SolveCache persists for future
-  /// near-identical submissions.
-  lp::Basis* exportSeedBasis = nullptr;
 };
 
 struct Interval {
@@ -216,20 +195,17 @@ struct SolveStats {
   /// theirs: the dominating set's feasible region contains the skipped
   /// set's region, so the merged interval already covers it.
   int dominatedSets = 0;
-  /// Warm-start tallies summed over the ILP solves (equal to the sums
-  /// over setRecords): LP calls served from a warm basis, LP calls
-  /// solved cold, dual-simplex repair pivots (included in totalPivots),
-  /// and warm bases that had to fall back cold.
+  /// Never written; kept only for perfbench, removed by its next update.
   int warmStarts = 0;
+  /// Never written; kept only for perfbench, removed by its next update.
   int coldStarts = 0;
+  /// Never written; kept only for perfbench, removed by its next update.
   int dualPivots = 0;
+  /// Never written; kept only for perfbench, removed by its next update.
   int warmFailures = 0;
-  /// Basis-installation eliminations across warm-started LP calls
-  /// (refactorization work; NOT included in totalPivots).
+  /// Never written; kept only for perfbench, removed by its next update.
   int installPivots = 0;
-  /// Pivots spent computing the shared structural seed basis (one LP per
-  /// estimate() when the incremental engine is on).  Like probe and
-  /// fallback pivots, deliberately not part of totalPivots.
+  /// Never written; kept only for perfbench, removed by its next update.
   int seedPivots = 0;
   /// Devex reference-framework pivots across the ILP solves (included
   /// in totalPivots; the remainder ran under Dantzig or Bland).
@@ -300,15 +276,6 @@ struct IlpSolveRecord {
   int checkedPromotions = 0;
   /// LP calls that re-ran under Bland's rule in this solve.
   int blandRestarts = 0;
-  /// LP calls served from a warm basis / solved cold in this solve.
-  int warmStarts = 0;
-  int coldStarts = 0;
-  /// Dual-simplex repair pivots in this solve (included in `pivots`).
-  int dualPivots = 0;
-  /// Warm bases that could not be used (those calls fell back cold).
-  int warmFailures = 0;
-  /// Basis-installation eliminations in this solve (not in `pivots`).
-  int installPivots = 0;
   /// Devex pivots in this solve (included in `pivots`).
   int devexPivots = 0;
   /// Presolve reductions summed over this solve's LP calls.
@@ -454,7 +421,7 @@ class Analyzer {
   /// `structural` covers everything common to all constraint sets — the
   /// base problem's canonical rows (structural flow, loop bounds,
   /// cache-mode variables), the variable count, and both objective
-  /// coefficient vectors — and therefore keys the reusable seed basis.
+  /// coefficient vectors.
   /// `full` extends it with the canonical rows of every expanded
   /// constraint set (order-normalized), and therefore keys the final
   /// bound: equal full digests => equal ILP systems => equal bounds.

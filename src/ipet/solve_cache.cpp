@@ -4,7 +4,6 @@
 #include <sstream>
 #include <vector>
 
-#include "cinderella/lp/basis_io.hpp"
 #include "cinderella/support/io.hpp"
 #include "cinderella/support/metrics_sink.hpp"
 
@@ -16,7 +15,9 @@ constexpr char kMagic[5] = {'C', 'S', 'N', 'A', 'P'};
 /// v1: bounds + bases, no framing.  v2 appends the formula store.  v3
 /// reframes each store as a tagged section with its own length and
 /// CRC32, so a torn or bit-flipped snapshot recovers to the longest
-/// valid prefix of sections instead of being discarded whole.
+/// valid prefix of sections instead of being discarded whole.  The
+/// bases store (warm-start seed bases) no longer exists: the writer
+/// emits its section empty and readers skip the entries of older files.
 constexpr std::uint32_t kVersion = 3;
 constexpr std::uint32_t kVersionV2 = 2;
 constexpr std::uint32_t kVersionV1 = 1;
@@ -33,10 +34,12 @@ constexpr std::uint32_t kSectionFormulas = 3;
 /// reported as incomplete.
 constexpr std::uint32_t kSectionEnd = 0;
 
-/// Journal record types: a bound admission (bound + optional seed
-/// basis) and a formula admission.  The journal is a bare record
-/// stream — `u32 type | u32 len | payload | u32 crc32(type|len|payload)`
-/// — with no header; an empty file is an empty journal.
+/// Journal record types: a bound admission (bound, structural digest and
+/// a basis length, always written 0; older journals may carry basis
+/// bytes, which are skipped) and a formula admission.  The journal is a
+/// bare record stream —
+/// `u32 type | u32 len | payload | u32 crc32(type|len|payload)` — with
+/// no header; an empty file is an empty journal.
 constexpr std::uint32_t kRecordBound = 1;
 constexpr std::uint32_t kRecordFormula = 2;
 
@@ -128,32 +131,22 @@ bool decodeBoundEntry(Reader* r, Digest* key, CachedBound* entry) {
   return !r->failed;
 }
 
-void encodeBasisEntry(std::string* out, const Digest& key,
-                      const lp::Basis& basis) {
-  appendU64(out, key.hi);
-  appendU64(out, key.lo);
-  const std::string bytes = lp::serializeBasis(basis);
-  appendU32(out, static_cast<std::uint32_t>(bytes.size()));
-  *out += bytes;
-}
-
-bool decodeBasisEntry(Reader* r, Digest* key, lp::Basis* basis) {
-  key->hi = r->u64();
-  key->lo = r->u64();
+/// Skips a length-prefixed basis blob (length-checked, not decoded).
+bool skipBasisBytes(Reader* r) {
   const std::uint32_t len = r->u32();
   if (r->failed || len > kSaneLimit) {
     r->failed = true;
     return false;
   }
-  const std::string_view bytes = r->raw(len);
-  if (r->failed) return false;
-  std::optional<lp::Basis> parsed = lp::parseBasis(bytes);
-  if (!parsed) {
-    r->failed = true;
-    return false;
-  }
-  *basis = std::move(*parsed);
-  return true;
+  r->raw(len);
+  return !r->failed;
+}
+
+/// Skips one entry of a legacy bases store: digest + basis blob.
+bool skipBasisEntry(Reader* r) {
+  r->u64();
+  r->u64();
+  return skipBasisBytes(r);
 }
 
 void encodeFormulaEntry(std::string* out, const Digest& key,
@@ -190,7 +183,6 @@ bool decodeFormulaEntry(Reader* r, Digest* key, CachedFormula* entry) {
 /// load can still reject wholesale and an install is a single swap.
 struct StagedEntries {
   std::vector<std::pair<Digest, CachedBound>> bounds;
-  std::vector<std::pair<Digest, lp::Basis>> bases;
   std::vector<std::pair<Digest, CachedFormula>> formulas;
 };
 
@@ -209,13 +201,9 @@ bool parseSectionPayload(std::uint32_t tag, std::uint32_t count,
         staged->bounds.emplace_back(key, entry);
         break;
       }
-      case kSectionBases: {
-        Digest key{};
-        lp::Basis basis;
-        if (!decodeBasisEntry(&r, &key, &basis)) return false;
-        staged->bases.emplace_back(key, std::move(basis));
+      case kSectionBases:
+        if (!skipBasisEntry(&r)) return false;
         break;
-      }
       case kSectionFormulas: {
         Digest key{};
         CachedFormula entry;
@@ -273,7 +261,6 @@ bool parseV3Body(std::string_view body, StagedEntries* staged,
       return false;
     }
     for (auto& e : section.bounds) staged->bounds.push_back(std::move(e));
-    for (auto& e : section.bases) staged->bases.push_back(std::move(e));
     for (auto& e : section.formulas) staged->formulas.push_back(std::move(e));
     offset = crcReader.offset;
   }
@@ -302,12 +289,8 @@ bool parseLegacyBody(std::string_view body, std::uint32_t version,
   }
   const std::uint32_t basisCount = r.u32();
   if (r.failed || basisCount > kSaneLimit) return false;
-  staged->bases.reserve(basisCount);
   for (std::uint32_t i = 0; i < basisCount; ++i) {
-    Digest key{};
-    lp::Basis basis;
-    if (!decodeBasisEntry(&r, &key, &basis)) return false;
-    staged->bases.emplace_back(key, std::move(basis));
+    if (!skipBasisEntry(&r)) return false;
   }
   if (version >= kVersionV2) {
     const std::uint32_t formulaCount = r.u32();
@@ -353,32 +336,17 @@ bool parseJournal(std::string_view bytes, StagedEntries* staged,
     if (type == kRecordBound) {
       Digest key{};
       CachedBound entry;
-      Digest structural{};
-      lp::Basis basis;
-      bool haveBasis = false;
-      if (!decodeBoundEntry(&r, &key, &entry)) {
-        *detail = "undecodable journal record at offset " +
-                  std::to_string(offset);
-        return false;
+      // The structural digest and basis blob after the entry are unused.
+      if (decodeBoundEntry(&r, &key, &entry)) {
+        r.raw(16);
+        skipBasisBytes(&r);
       }
-      structural.hi = r.u64();
-      structural.lo = r.u64();
-      const std::uint32_t basisLen = r.u32();
-      if (r.failed || basisLen > kSaneLimit || (basisLen > 0 && [&] {
-            const std::string_view basisBytes = r.raw(basisLen);
-            if (r.failed) return true;
-            std::optional<lp::Basis> parsed = lp::parseBasis(basisBytes);
-            if (!parsed) return true;
-            basis = std::move(*parsed);
-            haveBasis = true;
-            return false;
-          }())) {
+      if (r.failed) {
         *detail = "undecodable journal record at offset " +
                   std::to_string(offset);
         return false;
       }
       staged->bounds.emplace_back(key, entry);
-      if (haveBasis) staged->bases.emplace_back(structural, std::move(basis));
     } else if (type == kRecordFormula) {
       Digest key{};
       CachedFormula entry;
@@ -413,7 +381,6 @@ bool readFile(const std::string& path, std::string* out) {
 SolveCache::SolveCache(SolveCacheOptions options)
     : options_(std::move(options)),
       bounds_(options_.capacity),
-      bases_(options_.capacity),
       formulas_(options_.capacity) {}
 
 std::optional<CachedBound> SolveCache::lookupBound(const Digest& full) {
@@ -425,18 +392,6 @@ std::optional<CachedBound> SolveCache::lookupBound(const Digest& full) {
   }
   ++stats_.boundMisses;
   count("solve_cache.bound_misses");
-  return std::nullopt;
-}
-
-std::optional<lp::Basis> SolveCache::lookupBasis(const Digest& structural) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (lp::Basis* entry = bases_.find(structural)) {
-    ++stats_.basisHits;
-    count("solve_cache.basis_hits");
-    return *entry;
-  }
-  ++stats_.basisMisses;
-  count("solve_cache.basis_misses");
   return std::nullopt;
 }
 
@@ -493,7 +448,7 @@ bool SolveCache::admissible(const Estimate& estimate) {
 }
 
 bool SolveCache::insert(const Digest& full, const Digest& structural,
-                        const Estimate& estimate, lp::Basis seedBasis,
+                        const Estimate& estimate,
                         std::int64_t solveWallMicros) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (!enabled()) return false;
@@ -510,19 +465,9 @@ bool SolveCache::insert(const Digest& full, const Digest& structural,
   encodeBoundEntry(&payload, full, entry);
   appendU64(&payload, structural.hi);
   appendU64(&payload, structural.lo);
-  if (seedBasis.empty()) {
-    appendU32(&payload, 0);
-  } else {
-    const std::string basisBytes = lp::serializeBasis(seedBasis);
-    appendU32(&payload, static_cast<std::uint32_t>(basisBytes.size()));
-    payload += basisBytes;
-  }
-  std::int64_t evicted =
+  appendU32(&payload, 0);  // basis length
+  const std::int64_t evicted =
       static_cast<std::int64_t>(bounds_.insert(full, entry));
-  if (!seedBasis.empty()) {
-    evicted += static_cast<std::int64_t>(
-        bases_.insert(structural, std::move(seedBasis)));
-  }
   stats_.evictions += evicted;
   ++stats_.insertions;
   if (support::MetricsSink* sink = support::metricsSink()) {
@@ -543,11 +488,6 @@ std::size_t SolveCache::boundEntries() const {
   return bounds_.size();
 }
 
-std::size_t SolveCache::basisEntries() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return bases_.size();
-}
-
 std::size_t SolveCache::formulaEntries() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return formulas_.size();
@@ -556,7 +496,6 @@ std::size_t SolveCache::formulaEntries() const {
 void SolveCache::clear() {
   std::lock_guard<std::mutex> lock(mutex_);
   bounds_.clear();
-  bases_.clear();
   formulas_.clear();
 }
 
@@ -584,11 +523,7 @@ bool SolveCache::save(const std::string& path, std::string* error) const {
         encodeBoundEntry(&payload, key, entry);
       });
   appendSection(kSectionBounds, bounds_.size(), payload);
-  payload.clear();
-  bases_.forEachOldestFirst([&](const Digest& key, const lp::Basis& basis) {
-    encodeBasisEntry(&payload, key, basis);
-  });
-  appendSection(kSectionBases, bases_.size(), payload);
+  appendSection(kSectionBases, 0, {});
   payload.clear();
   formulas_.forEachOldestFirst(
       [&](const Digest& key, const CachedFormula& entry) {
@@ -649,14 +584,10 @@ bool SolveCache::load(const std::string& path, std::string* error) {
 
   std::lock_guard<std::mutex> lock(mutex_);
   bounds_.clear();
-  bases_.clear();
   formulas_.clear();
   // Oldest-first replay restores the writer's recency order; this
   // cache's own capacity gates how much survives.
   for (auto& [key, entry] : staged.bounds) bounds_.insert(key, entry);
-  for (auto& [key, basis] : staged.bases) {
-    bases_.insert(key, std::move(basis));
-  }
   for (auto& [key, entry] : staged.formulas) {
     formulas_.insert(key, std::move(entry));
   }
@@ -704,7 +635,6 @@ SnapshotRestoreReport SolveCache::restore(const std::string& path) {
     }
   }
   report.bounds = staged.bounds.size();
-  report.bases = staged.bases.size();
   report.formulas = staged.formulas.size();
 
   if (!options_.journalPath.empty()) {
@@ -724,12 +654,8 @@ SnapshotRestoreReport SolveCache::restore(const std::string& path) {
 
   std::lock_guard<std::mutex> lock(mutex_);
   bounds_.clear();
-  bases_.clear();
   formulas_.clear();
   for (auto& [key, entry] : staged.bounds) bounds_.insert(key, entry);
-  for (auto& [key, basis] : staged.bases) {
-    bases_.insert(key, std::move(basis));
-  }
   for (auto& [key, entry] : staged.formulas) {
     formulas_.insert(key, std::move(entry));
   }

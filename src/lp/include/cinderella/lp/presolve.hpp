@@ -1,6 +1,6 @@
 // Presolve/postsolve reduction engine: shrinks an lp::Problem before it
-// reaches the simplex, and maps reduced-space solutions *and bases* back
-// to the original space afterwards.
+// reaches the simplex, and maps reduced-space solutions back to the
+// original space afterwards.
 //
 // The reduction is a fixpoint pass that performs, on rows whose
 // coefficients and right-hand side are exactly integral (checked
@@ -36,7 +36,6 @@
 // agree on the verdict.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "cinderella/lp/problem.hpp"
@@ -45,7 +44,7 @@
 namespace cinderella::lp {
 
 /// The result of presolving one Problem: the reduced problem plus the
-/// postsolve stack needed to map solutions and bases back.
+/// postsolve stack needed to map solutions back.
 class Reduction {
  public:
   /// Runs the fixpoint reduction pass over `original`.
@@ -75,24 +74,6 @@ class Reduction {
   [[nodiscard]] std::vector<double> postsolveValues(
       const std::vector<double>& reducedValues) const;
 
-  /// Maps a reduced-space basis back to a full original-space basis:
-  /// surviving rows translate their basic column through the row/column
-  /// maps; each removed row contributes the column that makes the
-  /// combined basis non-singular on the original tableau (the
-  /// substituted/fixed variable for elimination rows, the row's own
-  /// slack or artificial for redundant rows).  The result installs on
-  /// the original problem via Tableau::installBasis and round-trips
-  /// through the CBAS codec, so warm-start chaining across solves is
-  /// unaffected by presolve.
-  [[nodiscard]] Basis postsolveBasis(const Basis& reducedBasis) const;
-
-  /// Maps an original-space warm basis into the reduced space, or
-  /// nullopt when no clean mapping exists (e.g. two rows collapse onto
-  /// the same reduced column); the caller then warm-starts on the
-  /// original tableau instead, which is always sound.
-  [[nodiscard]] std::optional<Basis> translateBasis(
-      const Basis& originalBasis) const;
-
  private:
   /// One postsolve-stack entry restoring an eliminated variable.
   struct Restore {
@@ -108,21 +89,8 @@ class Reduction {
   PresolveStats stats_;
   bool infeasible_ = false;
   int origVars_ = 0;
-  int origRows_ = 0;
-  /// Original var -> reduced var index, or -1 when eliminated.
-  std::vector<int> varMap_;
   /// Reduced var -> original var.
   std::vector<int> reducedVars_;
-  /// Original row -> reduced row index, or -1 when removed.
-  std::vector<int> rowMap_;
-  /// Relation of every original row (for slack/artificial existence
-  /// checks when mapping bases).
-  std::vector<Relation> origRel_;
-  /// Reduced row -> original row.
-  std::vector<int> survivingRows_;
-  /// Original-space basic column for each removed original row (unused
-  /// slots hold -1 for surviving rows).
-  std::vector<int> removedRowBasic_;
   /// Eliminated variables in elimination order (replayed in reverse).
   std::vector<Restore> restores_;
 };

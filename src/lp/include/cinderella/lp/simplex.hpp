@@ -1,28 +1,19 @@
-// Two-phase primal simplex solver over a sparse-row tableau, with an
-// incremental warm-start path and a presolve/postsolve reduction pass.
+// Two-phase primal simplex solver over a sparse-row tableau, with a
+// presolve/postsolve reduction pass.
 //
 // Sized for IPET workloads: hundreds of variables and constraints.  The
 // default pivot rule is Devex reference-framework pricing, which prices
 // columns by reduced cost scaled against an approximate steepest-edge
 // weight — on degenerate flow problems it takes far fewer pivots than
 // pure Dantzig while costing the same per-iteration scan.  When the
-// first-attempt rule (Devex or Dantzig) hits its pivot budget, the
-// solver switches to Bland's rule in place (continuing from the current
-// basis, not from scratch) with a fresh budget; only if Bland also
-// exhausts the budget does the caller see IterationLimit.
+// first-attempt rule hits its pivot budget or stalls, the solve is
+// re-run from scratch under Dantzig, then Bland; only if Bland also
+// fails does the caller see IterationLimit.
 //
 // Presolve: when SimplexOptions::presolve is set, each solve first runs
 // the lp::Reduction fixpoint pass (see presolve.hpp) and the simplex
-// only ever sees the reduced rows; solutions and bases are mapped back
-// to the original space, so callers observe identical results.
-//
-// Warm starts: solveWarm() can resume from a Basis snapshot taken from a
-// related solve (same constraint-row prefix, possibly extra appended
-// rows).  A basis that became primal-infeasible after a bound tightening
-// is repaired by a dual-simplex phase — classically a handful of pivots
-// instead of a full two-phase solve.  Warm starts never change results:
-// any basis that cannot be installed or proves unusable falls back to
-// the cold two-phase path.
+// only ever sees the reduced rows; solutions are mapped back to the
+// original space, so callers observe identical results.
 #pragma once
 
 #include <string>
@@ -51,21 +42,6 @@ enum class PivotRule {
 
 [[nodiscard]] const char* pivotRuleStr(PivotRule rule);
 
-/// A simplex basis snapshot: which column is basic in each constraint
-/// row.  Columns are identified by stable ids that survive appending
-/// rows to the problem — original variable v is column v, the
-/// slack/surplus of row r is column numVars + 2r, and the artificial of
-/// row r is column numVars + 2r + 1 — so a basis extracted from a parent
-/// problem can seed any child that shares the parent's constraint-row
-/// prefix (e.g. the same set plus one branch-and-bound cut).
-struct Basis {
-  int numVars = 0;
-  /// Basic column id per constraint row, in row order.
-  std::vector<int> basicCol;
-
-  [[nodiscard]] bool empty() const { return basicCol.empty(); }
-};
-
 /// What the presolve reduction pass removed ahead of one solve.  All
 /// zero when presolve is disabled or found nothing to reduce.
 struct PresolveStats {
@@ -90,31 +66,16 @@ struct Solution {
   double objective = 0.0;
   /// Value of every original variable (valid when Optimal).
   std::vector<double> values;
-  /// Total simplex iterations across all phases (primal and dual,
-  /// including the continued Bland pivots when the in-place restart
-  /// kicked in, and any iterations wasted on a failed warm attempt).
-  /// Basis-installation eliminations are counted in installPivots, not
-  /// here, so warm and cold pivot totals compare like for like.
+  /// Total simplex iterations across both phases, including those of
+  /// attempts abandoned by the Dantzig/Bland retry.
   int pivots = 0;
-  /// Pivots spent in the dual-simplex repair phase of a warm start.
-  int dualPivots = 0;
-  /// Gauss-Jordan eliminations spent installing a warm basis
-  /// (refactorization work, bounded by the row count; not simplex
-  /// iterations and excluded from `pivots`).
-  int installPivots = 0;
   /// True when the configured rule hit maxPivots (or the
   /// degenerate-stall guard) and the solve was re-run from scratch on a
   /// fresh tableau under a more conservative rule (Dantzig, then
   /// Bland).
   bool blandRestart = false;
-  /// True when the solve ran from the supplied warm basis (no cold
-  /// two-phase rebuild).
-  bool warmUsed = false;
-  /// True when a warm basis was supplied but could not be used and the
-  /// solve fell back to the cold path.
-  bool warmFailed = false;
   /// Pivots chosen by Devex pricing (subset of `pivots`; the rest were
-  /// Dantzig/Bland picks or dual-simplex repairs).
+  /// Dantzig/Bland picks).
   int devexPivots = 0;
   /// What the presolve pass removed before the simplex ran.
   PresolveStats presolve;
@@ -136,7 +97,7 @@ struct SimplexOptions {
   /// none of the numeric drift the stalled one accumulated.
   bool blandRetry = true;
   /// Run the lp::Reduction presolve pass before the simplex and map the
-  /// solution/basis back afterwards.  Results are identical either way;
+  /// solution back afterwards.  Results are identical either way;
   /// the reduced tableau is just smaller.
   bool presolve = true;
 };
@@ -144,17 +105,5 @@ struct SimplexOptions {
 /// Solves `problem` and returns its optimum, or the failure status.
 [[nodiscard]] Solution solve(const Problem& problem,
                              const SimplexOptions& options = {});
-
-/// Solves `problem`, optionally warm-starting from `warmBasis` (a basis
-/// extracted from a solve whose constraint rows are a prefix of this
-/// problem's rows).  When the warm basis cannot be installed or leaves
-/// the solver in a state that is neither primal- nor dual-feasible, the
-/// solve silently falls back to the cold two-phase path
-/// (Solution::warmFailed reports that).  When `finalBasis` is non-null
-/// and the solve is Optimal, it receives the final basis for chaining
-/// into subsequent warm starts.  Bounds are bit-identical to solve().
-[[nodiscard]] Solution solveWarm(const Problem& problem,
-                                 const SimplexOptions& options,
-                                 const Basis* warmBasis, Basis* finalBasis);
 
 }  // namespace cinderella::lp

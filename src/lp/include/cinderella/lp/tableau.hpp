@@ -1,5 +1,5 @@
-// Sparse-row simplex tableau in standard form, shared by the cold
-// two-phase path and the incremental warm-start path.
+// Sparse-row simplex tableau in standard form for the two-phase primal
+// simplex.
 //
 // Rows are kept as sorted (column, value) entry lists — IPET constraint
 // matrices are flow matrices with a handful of nonzeros per row, so the
@@ -7,16 +7,11 @@
 // The objective (reduced-cost) row is kept dense: every entering-column
 // scan reads all of it anyway.
 //
-// Column ids are stable under row appends (see lp::Basis in
-// simplex.hpp): original variable v is column v, the slack/surplus of
+// Column ids: original variable v is column v, the slack/surplus of
 // row r is column numVars + 2r, the artificial of row r is column
-// numVars + 2r + 1.  A Basis extracted from a parent tableau therefore
-// remains meaningful in any tableau whose constraint rows extend the
-// parent's rows, which is exactly what branch-and-bound cuts and
-// set-over-structural-core materialization produce.
+// numVars + 2r + 1.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "cinderella/lp/problem.hpp"
@@ -34,35 +29,11 @@ class Tableau {
   [[nodiscard]] Solution run(const std::vector<double>& objective,
                              double constant);
 
-  /// Warm solve: installs `from` (plus natural slack/surplus basics for
-  /// rows beyond the snapshot), repairs primal infeasibility with a
-  /// dual-simplex phase, then runs primal phase 2.  Returns nullopt when
-  /// the basis cannot be used soundly — singular or missing target
-  /// columns, a state that is neither primal- nor dual-feasible, an
-  /// artificial left basic at a nonzero level, or an exhausted pivot
-  /// budget — in which case the caller must fall back to a cold solve on
-  /// a fresh tableau.  A returned Infeasible solution is a genuine
-  /// result.
-  [[nodiscard]] std::optional<Solution> runWarm(
-      const std::vector<double>& objective, double constant,
-      const Basis& from);
-
-  /// Snapshot of the current basis (chain into later runWarm calls).
-  [[nodiscard]] Basis extractBasis() const;
-
-  /// Simplex iterations (primal + dual); basis-installation
-  /// eliminations are counted separately in installPivots().
-  [[nodiscard]] int totalPivots() const { return pivots_; }
-  [[nodiscard]] int dualPivots() const { return dualPivots_; }
-  [[nodiscard]] int installPivots() const { return installPivots_; }
+  /// Pivots chosen by Devex pricing.
   [[nodiscard]] int devexPivots() const { return devexPivots_; }
 
-  // Introspection for tests.
-  [[nodiscard]] int numRows() const { return m_; }
-  [[nodiscard]] double rowRhs(int row) const;
-  [[nodiscard]] int basicColumn(int row) const;
-
-  /// Stable column ids (also documented on lp::Basis).
+ private:
+  /// Column ids of a row's slack/surplus and artificial.
   [[nodiscard]] static int slackColumn(int numVars, int row) {
     return numVars + 2 * row;
   }
@@ -70,7 +41,6 @@ class Tableau {
     return numVars + 2 * row + 1;
   }
 
- private:
   struct Entry {
     int col = 0;
     double val = 0.0;
@@ -95,7 +65,6 @@ class Tableau {
   [[nodiscard]] double objectiveValue() const { return objRhs_; }
 
   [[nodiscard]] SolveStatus optimize(bool allowArtificialEntering);
-  [[nodiscard]] SolveStatus dualSimplex();
   /// Audit after a claimed-Optimal solve: true when every basic value is
   /// nonnegative within a scale-aware tolerance.  Accumulated pivot
   /// drift can push a row's rhs genuinely negative (an ignored
@@ -103,9 +72,6 @@ class Tableau {
   /// solver re-solves on a fresh tableau under Bland's rule.
   [[nodiscard]] bool primalFeasibleAtTol() const;
   bool evictArtificials();
-  /// Gauss-Jordan refactorization to the target basis; false when the
-  /// target is singular/unreachable at the pivot tolerance.
-  bool installBasis(const Basis& from);
   void fillSolutionValues(Solution* solution) const;
 
   SimplexOptions opt_;
@@ -128,8 +94,6 @@ class Tableau {
   /// whenever they grow past the reset threshold.
   std::vector<double> devexWeights_;
   int pivots_ = 0;
-  int dualPivots_ = 0;
-  int installPivots_ = 0;
   int devexPivots_ = 0;
 };
 

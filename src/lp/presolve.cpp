@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "cinderella/lp/tableau.hpp"
 
 namespace cinderella::lp {
 
@@ -90,16 +89,10 @@ Reduction Reduction::reduce(const Problem& original,
   const auto& cons = original.constraints();
   const int m = static_cast<int>(cons.size());
   out.origVars_ = n;
-  out.origRows_ = m;
 
   std::vector<WRow> rows(static_cast<std::size_t>(m));
   std::vector<char> integral(static_cast<std::size_t>(m), 1);
   std::vector<VarState> vars(static_cast<std::size_t>(n));
-  // Host row for a variable fixed at a nonzero value: the singleton row
-  // that determined it, which must carry the variable as its basic
-  // column in the postsolved basis (a nonbasic variable reads as zero).
-  std::vector<int> pendingHost(static_cast<std::size_t>(m), -1);
-  out.removedRowBasic_.assign(static_cast<std::size_t>(m), -1);
 
   // Parse every constraint into exact-integer working form; rows with
   // any non-integral number are kept verbatim and quarantine their
@@ -170,33 +163,31 @@ Reduction Reduction::reduce(const Problem& original,
   bool aborted = false;  // integer overflow: bail out, solve unreduced
   bool changed = false;
 
-  auto removeRow = [&](int r, int basicCol) {
+  auto removeRow = [&](int r) {
     rows[static_cast<std::size_t>(r)].alive = false;
-    out.removedRowBasic_[static_cast<std::size_t>(r)] = basicCol;
     ++out.stats_.rowsRemoved;
     changed = true;
   };
 
-  auto fixVar = [&](int v, long long val) -> bool {
+  auto fixVar = [&](int v, long long val) {
     VarState& s = vars[static_cast<std::size_t>(v)];
     if (val < 0 || (s.hasUb && val > s.ub)) {
       infeasible = true;
-      return false;
+      return;
     }
     if (s.fixed) {
       if (s.value != val) infeasible = true;
-      return false;
+      return;
     }
     // A variable appearing in a non-integral row cannot be eliminated
     // (that row is kept verbatim and would dangle); the forced-value
     // inference above is still valid, only the elimination is skipped.
-    if (s.untouchable || s.substituted) return false;
+    if (s.untouchable || s.substituted) return;
     s.fixed = true;
     s.value = val;
     ++out.stats_.colsFixed;
     out.restores_.push_back(Restore{v, static_cast<double>(val), {}});
     changed = true;
-    return true;
   };
 
   int rounds = 0;
@@ -232,9 +223,7 @@ Reduction Reduction::reduce(const Problem& original,
         }
       }
 
-      // Empty row: verified exactly, then removed — a fixed variable's
-      // host row keeps the variable basic so its value survives the
-      // basic-solution readout.
+      // Empty row: verified exactly, then removed.
       if (row.terms.empty()) {
         const bool violated =
             (row.rel == Relation::LessEq && row.rhs < 0) ||
@@ -244,13 +233,7 @@ Reduction Reduction::reduce(const Problem& original,
           infeasible = true;
           break;
         }
-        int basic = pendingHost[static_cast<std::size_t>(r)];
-        if (basic < 0) {
-          basic = row.rel == Relation::Equal
-                      ? Tableau::artificialColumn(n, r)
-                      : Tableau::slackColumn(n, r);
-        }
-        removeRow(r, basic);
+        removeRow(r);
         continue;
       }
 
@@ -295,12 +278,12 @@ Reduction Reduction::reduce(const Problem& original,
       };
       if (row.rel == Relation::LessEq && maxAct.finite &&
           maxAct.value <= row.rhs && !isUbSource()) {
-        removeRow(r, Tableau::slackColumn(n, r));
+        removeRow(r);
         continue;
       }
       if (row.rel == Relation::GreaterEq && minAct.finite &&
           minAct.value >= row.rhs && !isUbSource()) {
-        removeRow(r, Tableau::slackColumn(n, r));
+        removeRow(r);
         continue;
       }
 
@@ -318,9 +301,7 @@ Reduction Reduction::reduce(const Problem& original,
           VarState& s = vars[static_cast<std::size_t>(t.var)];
           const bool atUb = forceMin ? (t.coeff < 0) : (t.coeff > 0);
           const long long val = atUb ? s.ub : 0;
-          if (fixVar(t.var, val) && val != 0) {
-            pendingHost[static_cast<std::size_t>(s.ubSource)] = t.var;
-          }
+          fixVar(t.var, val);
           if (infeasible) break;
         }
         continue;
@@ -340,9 +321,7 @@ Reduction Reduction::reduce(const Problem& original,
               infeasible = true;
               break;
             }
-            if (fixVar(v, val)) {
-              pendingHost[static_cast<std::size_t>(r)] = v;
-            }
+            fixVar(v, val);
           }
         } else if ((row.rel == Relation::LessEq && a > 0) ||
                    (row.rel == Relation::GreaterEq && a < 0)) {
@@ -353,10 +332,7 @@ Reduction Reduction::reduce(const Problem& original,
               break;
             }
             if (u == 0) {
-              if (fixVar(v, 0)) {
-                // Fixed at zero: nonbasic in the postsolved basis, no
-                // host needed.
-              }
+              fixVar(v, 0);
             } else if (!s.hasUb || u < s.ub) {
               s.hasUb = true;
               s.ub = u;
@@ -405,7 +381,7 @@ Reduction Reduction::reduce(const Problem& original,
             infeasible = true;
             break;
           }
-          removeRow(r2, Tableau::artificialColumn(n, r2));
+          removeRow(r2);
           order[k] = r1;
           continue;
         }
@@ -420,7 +396,7 @@ Reduction Reduction::reduce(const Problem& original,
           VarState& s = vars[static_cast<std::size_t>(t.var)];
           if (s.ubSource == loser) s.ubSource = keeper;
         }
-        removeRow(loser, Tableau::slackColumn(n, loser));
+        removeRow(loser);
         order[k] = keeper;
       }
     }
@@ -436,7 +412,6 @@ Reduction Reduction::reduce(const Problem& original,
       WRow& row = rows[static_cast<std::size_t>(r)];
       if (!row.alive || !integral[static_cast<std::size_t>(r)]) continue;
       if (row.rel != Relation::Equal || row.terms.size() < 2) continue;
-      if (pendingHost[static_cast<std::size_t>(r)] >= 0) continue;
       // A fixed-but-not-yet-folded term would leak an eliminated
       // variable into the restore formula, which must only reference
       // variables still free at record time (reverse replay restores
@@ -587,7 +562,7 @@ Reduction Reduction::reduce(const Problem& original,
       out.restores_.push_back(std::move(restore));
       vars[static_cast<std::size_t>(pick)].substituted = true;
       ++out.stats_.substitutions;
-      removeRow(r, pick);
+      removeRow(r);
     }
   }
   out.stats_.propagationRounds = rounds;
@@ -597,7 +572,6 @@ Reduction Reduction::reduce(const Problem& original,
     // ineffective reduction so the caller solves the original problem.
     Reduction fresh;
     fresh.origVars_ = n;
-    fresh.origRows_ = m;
     fresh.stats_.propagationRounds = rounds;
     return fresh;
   }
@@ -627,8 +601,7 @@ Reduction Reduction::reduce(const Problem& original,
       if (!fits(rhs)) {
         Reduction fresh;
         fresh.origVars_ = n;
-        fresh.origRows_ = m;
-        fresh.stats_.propagationRounds = rounds;
+            fresh.stats_.propagationRounds = rounds;
         return fresh;
       }
       row.rhs = static_cast<long long>(rhs);
@@ -642,12 +615,7 @@ Reduction Reduction::reduce(const Problem& original,
         out.infeasible_ = true;
         return out;
       }
-      int basic = pendingHost[static_cast<std::size_t>(r)];
-      if (basic < 0) {
-        basic = row.rel == Relation::Equal ? Tableau::artificialColumn(n, r)
-                                           : Tableau::slackColumn(n, r);
-      }
-      removeRow(r, basic);
+      removeRow(r);
     }
   }
 
@@ -661,19 +629,13 @@ Reduction Reduction::reduce(const Problem& original,
   }
 
   // Assemble the maps and the reduced problem.
-  out.varMap_.assign(static_cast<std::size_t>(n), -1);
+  std::vector<int> varMap(static_cast<std::size_t>(n), -1);
   for (int v = 0; v < n; ++v) {
     if (!vars[static_cast<std::size_t>(v)].eliminated()) {
-      out.varMap_[static_cast<std::size_t>(v)] =
+      varMap[static_cast<std::size_t>(v)] =
           static_cast<int>(out.reducedVars_.size());
       out.reducedVars_.push_back(v);
     }
-  }
-  out.rowMap_.assign(static_cast<std::size_t>(m), -1);
-  out.origRel_.assign(static_cast<std::size_t>(m), Relation::LessEq);
-  for (int r = 0; r < m; ++r) {
-    out.origRel_[static_cast<std::size_t>(r)] =
-        cons[static_cast<std::size_t>(r)].rel;
   }
 
   for (const int v : out.reducedVars_) {
@@ -683,7 +645,7 @@ Reduction Reduction::reduce(const Problem& original,
   for (const int v : out.reducedVars_) {
     const double c = obj[static_cast<std::size_t>(v)];
     if (c != 0.0) {
-      reducedObj.add(out.varMap_[static_cast<std::size_t>(v)], c);
+      reducedObj.add(varMap[static_cast<std::size_t>(v)], c);
     }
   }
   reducedObj.addConstant(objConst);
@@ -692,13 +654,10 @@ Reduction Reduction::reduce(const Problem& original,
   for (int r = 0; r < m; ++r) {
     const WRow& row = rows[static_cast<std::size_t>(r)];
     if (!row.alive) continue;
-    out.rowMap_[static_cast<std::size_t>(r)] =
-        static_cast<int>(out.survivingRows_.size());
-    out.survivingRows_.push_back(r);
     LinearExpr expr;
     if (integral[static_cast<std::size_t>(r)]) {
       for (const WTerm& t : row.terms) {
-        expr.add(out.varMap_[static_cast<std::size_t>(t.var)],
+        expr.add(varMap[static_cast<std::size_t>(t.var)],
                  static_cast<double>(t.coeff));
       }
       out.reduced_.addConstraint(std::move(expr), row.rel,
@@ -706,7 +665,7 @@ Reduction Reduction::reduce(const Problem& original,
     } else {
       const Constraint& c = cons[static_cast<std::size_t>(r)];
       for (const Term& t : c.expr.terms()) {
-        expr.add(out.varMap_[static_cast<std::size_t>(t.var)], t.coeff);
+        expr.add(varMap[static_cast<std::size_t>(t.var)], t.coeff);
       }
       expr.addConstant(c.expr.constant());
       out.reduced_.addConstraint(std::move(expr), c.rel, c.rhs);
@@ -733,86 +692,6 @@ std::vector<double> Reduction::postsolveValues(
     }
     if (v < 0 && v > -1e-7) v = 0;  // same clamp as the tableau readout
     out[static_cast<std::size_t>(it->var)] = v;
-  }
-  return out;
-}
-
-Basis Reduction::postsolveBasis(const Basis& reducedBasis) const {
-  const int rn = static_cast<int>(reducedVars_.size());
-  Basis out;
-  out.numVars = origVars_;
-  out.basicCol.assign(static_cast<std::size_t>(origRows_), -1);
-  for (std::size_t j = 0; j < survivingRows_.size(); ++j) {
-    const int r = survivingRows_[j];
-    const int c = j < reducedBasis.basicCol.size()
-                      ? reducedBasis.basicCol[j]
-                      : -1;
-    int mapped = -1;
-    if (c >= 0 && c < rn) {
-      mapped = reducedVars_[static_cast<std::size_t>(c)];
-    } else if (c >= rn &&
-               c < rn + 2 * static_cast<int>(survivingRows_.size())) {
-      const int k = c - rn;
-      const int rr = survivingRows_[static_cast<std::size_t>(k / 2)];
-      mapped = k % 2 == 0 ? Tableau::slackColumn(origVars_, rr)
-                          : Tableau::artificialColumn(origVars_, rr);
-    }
-    if (mapped < 0) {
-      mapped = origRel_[static_cast<std::size_t>(r)] == Relation::LessEq
-                   ? Tableau::slackColumn(origVars_, r)
-                   : Tableau::artificialColumn(origVars_, r);
-    }
-    out.basicCol[static_cast<std::size_t>(r)] = mapped;
-  }
-  for (int r = 0; r < origRows_; ++r) {
-    if (out.basicCol[static_cast<std::size_t>(r)] < 0) {
-      out.basicCol[static_cast<std::size_t>(r)] =
-          removedRowBasic_[static_cast<std::size_t>(r)];
-    }
-  }
-  return out;
-}
-
-std::optional<Basis> Reduction::translateBasis(
-    const Basis& originalBasis) const {
-  if (originalBasis.numVars != origVars_) return std::nullopt;
-  const int rn = static_cast<int>(reducedVars_.size());
-  const int rm = static_cast<int>(survivingRows_.size());
-  Basis out;
-  out.numVars = rn;
-  out.basicCol.assign(static_cast<std::size_t>(rm), -1);
-  std::vector<char> used(static_cast<std::size_t>(rn + 2 * rm), 0);
-  for (int j = 0; j < rm; ++j) {
-    const int r = survivingRows_[static_cast<std::size_t>(j)];
-    const int c = r < static_cast<int>(originalBasis.basicCol.size())
-                      ? originalBasis.basicCol[static_cast<std::size_t>(r)]
-                      : -1;
-    int mapped = -1;
-    if (c >= 0 && c < origVars_) {
-      mapped = varMap_[static_cast<std::size_t>(c)];  // -1 if eliminated
-    } else if (c >= origVars_ && c < origVars_ + 2 * origRows_) {
-      const int k = c - origVars_;
-      const int rr = k / 2;
-      const bool slack = k % 2 == 0;
-      if (rowMap_[static_cast<std::size_t>(rr)] >= 0) {
-        const Relation rel = origRel_[static_cast<std::size_t>(rr)];
-        const bool exists =
-            slack ? rel != Relation::Equal : rel != Relation::LessEq;
-        if (exists) {
-          mapped = rn + 2 * rowMap_[static_cast<std::size_t>(rr)] +
-                   (slack ? 0 : 1);
-        }
-      }
-    }
-    if (mapped < 0) {
-      // Natural cold-start basic for the reduced row: slack for <=,
-      // artificial otherwise (mirrors the tableau constructor).
-      const Relation rel = origRel_[static_cast<std::size_t>(r)];
-      mapped = rel == Relation::LessEq ? rn + 2 * j : rn + 2 * j + 1;
-    }
-    if (used[static_cast<std::size_t>(mapped)]) return std::nullopt;
-    used[static_cast<std::size_t>(mapped)] = 1;
-    out.basicCol[static_cast<std::size_t>(j)] = mapped;
   }
   return out;
 }

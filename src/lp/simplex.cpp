@@ -64,15 +64,7 @@ void reportToSink(support::MetricsSink* sink, const Solution& solution,
   if (sink == nullptr) return;
   sink->add("lp.solves", 1);
   if (solution.blandRestart) sink->add("lp.blandRestarts", 1);
-  if (solution.warmUsed) sink->add("lp.warmStarts", 1);
-  if (solution.warmFailed) sink->add("lp.warmFailures", 1);
   sink->observe("lp.pivots", solution.pivots);
-  if (solution.dualPivots > 0) {
-    sink->observe("lp.dualPivots", solution.dualPivots);
-  }
-  if (solution.installPivots > 0) {
-    sink->observe("lp.installPivots", solution.installPivots);
-  }
   if (solution.devexPivots > 0) {
     sink->observe("lp.devexPivots", solution.devexPivots);
   }
@@ -92,8 +84,7 @@ void reportToSink(support::MetricsSink* sink, const Solution& solution,
 
 }  // namespace
 
-Solution solveWarm(const Problem& problem, const SimplexOptions& options,
-                   const Basis* warmBasis, Basis* finalBasis) {
+Solution solve(const Problem& problem, const SimplexOptions& options) {
   // Observability is off on the default path: one relaxed atomic load.
   support::MetricsSink* const sink = support::metricsSink();
   const auto solveStart = sink != nullptr
@@ -122,126 +113,34 @@ Solution solveWarm(const Problem& problem, const SimplexOptions& options,
   const Problem& effective = reduction ? reduction->reduced() : problem;
   const DenseObjective objective = maximizedObjective(effective);
 
-  Solution solution;
-  int wastedWarmPivots = 0;
-  int wastedInstallPivots = 0;
-  int wastedDevexPivots = 0;
-  bool warmFailed = false;
-  bool solved = false;
-  bool solvedOnReduced = false;
-
-  if (warmBasis != nullptr && !warmBasis->empty()) {
-    // Warm ladder: reduced tableau with the translated basis first,
-    // then the original tableau with the basis as supplied.  Only when
-    // both warm attempts fail does the solve fall back cold — so
-    // presolve never turns a previously-working warm start into a
-    // failure.
-    if (reduction) {
-      if (std::optional<Basis> translated =
-              reduction->translateBasis(*warmBasis)) {
-        Tableau warm(effective, options);
-        if (std::optional<Solution> warmSolution =
-                warm.runWarm(objective.coeffs, objective.constant,
-                             *translated)) {
-          solution = std::move(*warmSolution);
-          solution.devexPivots = warm.devexPivots();
-          solvedOnReduced = true;
-          solved = true;
-          if (finalBasis != nullptr &&
-              solution.status == SolveStatus::Optimal) {
-            *finalBasis = reduction->postsolveBasis(warm.extractBasis());
-          }
-        } else {
-          wastedWarmPivots += warm.totalPivots();
-          wastedInstallPivots += warm.installPivots();
-          wastedDevexPivots += warm.devexPivots();
-        }
-      }
-    }
-    if (!solved && reduction) {
-      const DenseObjective origObjective = maximizedObjective(problem);
-      Tableau warm(problem, options);
-      if (std::optional<Solution> warmSolution = warm.runWarm(
-              origObjective.coeffs, origObjective.constant, *warmBasis)) {
-        solution = std::move(*warmSolution);
-        solution.pivots += wastedWarmPivots;
-        solution.installPivots += wastedInstallPivots;
-        solution.devexPivots = warm.devexPivots() + wastedDevexPivots;
-        solved = true;
-        if (finalBasis != nullptr &&
-            solution.status == SolveStatus::Optimal) {
-          *finalBasis = warm.extractBasis();
-        }
-      } else {
-        wastedWarmPivots += warm.totalPivots();
-        wastedInstallPivots += warm.installPivots();
-        wastedDevexPivots += warm.devexPivots();
-        warmFailed = true;
-      }
-    } else if (!solved) {
-      Tableau warm(problem, options);
-      if (std::optional<Solution> warmSolution = warm.runWarm(
-              objective.coeffs, objective.constant, *warmBasis)) {
-        solution = std::move(*warmSolution);
-        solution.devexPivots = warm.devexPivots();
-        solved = true;
-        if (finalBasis != nullptr &&
-            solution.status == SolveStatus::Optimal) {
-          *finalBasis = warm.extractBasis();
-        }
-      } else {
-        // The basis was unusable; the cold re-solve below still pays
-        // for the pivots spent discovering that.
-        wastedWarmPivots += warm.totalPivots();
-        wastedInstallPivots += warm.installPivots();
-        wastedDevexPivots += warm.devexPivots();
-        warmFailed = true;
-      }
+  std::optional<Tableau> tableau;
+  tableau.emplace(effective, options);
+  Solution solution = tableau->run(objective.coeffs, objective.constant);
+  solution.devexPivots = tableau->devexPivots();
+  if (solution.status == SolveStatus::IterationLimit && options.blandRetry) {
+    // The configured rule exhausted its budget or stalled on a
+    // degenerate vertex.  Epsilon-step pivots through near-singular
+    // elements erode the tableau numerically, so continuing from the
+    // stalled basis is hopeless — re-solve from scratch under
+    // progressively more conservative rules: Dantzig (cheap pricing,
+    // rarely stalls on IPET systems), then Bland (cannot cycle).
+    // Only the last rung's failure is reported upward.
+    for (const PivotRule retryRule : {PivotRule::Dantzig, PivotRule::Bland}) {
+      if (retryRule == options.pivotRule) continue;
+      const int wastedPivots = solution.pivots;
+      const int wastedDevex = solution.devexPivots;
+      SimplexOptions retryOptions = options;
+      retryOptions.pivotRule = retryRule;
+      tableau.emplace(effective, retryOptions);
+      solution = tableau->run(objective.coeffs, objective.constant);
+      solution.pivots += wastedPivots;
+      solution.devexPivots = wastedDevex;
+      solution.blandRestart = true;
+      if (solution.status != SolveStatus::IterationLimit) break;
     }
   }
 
-  if (!solved) {
-    std::optional<Tableau> cold;
-    cold.emplace(effective, options);
-    solution = cold->run(objective.coeffs, objective.constant);
-    solution.devexPivots = cold->devexPivots();
-    if (solution.status == SolveStatus::IterationLimit &&
-        options.blandRetry) {
-      // The configured rule exhausted its budget or stalled on a
-      // degenerate vertex.  Epsilon-step pivots through near-singular
-      // elements erode the tableau numerically, so continuing from the
-      // stalled basis is hopeless — re-solve from scratch under
-      // progressively more conservative rules: Dantzig (cheap pricing,
-      // rarely stalls on IPET systems), then Bland (cannot cycle).
-      // Only the last rung's failure is reported upward.
-      for (const PivotRule retryRule :
-           {PivotRule::Dantzig, PivotRule::Bland}) {
-        if (retryRule == options.pivotRule) continue;
-        const int wastedPivots = solution.pivots;
-        const int wastedDevex = solution.devexPivots;
-        SimplexOptions retryOptions = options;
-        retryOptions.pivotRule = retryRule;
-        cold.emplace(effective, retryOptions);
-        solution = cold->run(objective.coeffs, objective.constant);
-        solution.pivots += wastedPivots;
-        solution.devexPivots = wastedDevex;
-        solution.blandRestart = true;
-        if (solution.status != SolveStatus::IterationLimit) break;
-      }
-    }
-    solution.pivots += wastedWarmPivots;
-    solution.installPivots += wastedInstallPivots;
-    solution.devexPivots += wastedDevexPivots;
-    solution.warmFailed = warmFailed;
-    solvedOnReduced = reduction.has_value();
-    if (finalBasis != nullptr && solution.status == SolveStatus::Optimal) {
-      *finalBasis = reduction
-                        ? reduction->postsolveBasis(cold->extractBasis())
-                        : cold->extractBasis();
-    }
-  }
-
-  if (solvedOnReduced && solution.status == SolveStatus::Optimal) {
+  if (reduction && solution.status == SolveStatus::Optimal) {
     solution.values = reduction->postsolveValues(solution.values);
   }
   solution.presolve = presolveStats;
@@ -251,10 +150,6 @@ Solution solveWarm(const Problem& problem, const SimplexOptions& options,
 
   reportToSink(sink, solution, solveStart);
   return solution;
-}
-
-Solution solve(const Problem& problem, const SimplexOptions& options) {
-  return solveWarm(problem, options, nullptr, nullptr);
 }
 
 }  // namespace cinderella::lp

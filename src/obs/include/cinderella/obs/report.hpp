@@ -32,8 +32,10 @@ struct ReportOptions {
 /// see DESIGN.md ("Report schema") for the field-by-field contract.
 /// Version 1 was the unversioned pre-serve layout; 2 added the stamp;
 /// 3 added the presolve/Devex counters (stats.devexPivots,
-/// stats.presolve*, and the per-ILP-record equivalents).
-inline constexpr int kReportSchemaVersion = 3;
+/// stats.presolve*, and the per-ILP-record equivalents); 4 dropped the
+/// warm-start counters (warmStarts, coldStarts, dualPivots,
+/// warmFailures, installPivots, seedPivots).
+inline constexpr int kReportSchemaVersion = 4;
 
 // Composable pieces (used by the bench JSON emitters as well as the full
 // report): each writes one JSON value at the writer's current position.

@@ -23,14 +23,12 @@
 //    "jobs":1,                  // solve worker threads [1]
 //    "deadlineMs":0,            // solve deadline [none]
 //    "maxNodes":0,              // branch-and-bound node cap [solver default]
-//    "maxMemoryMb":0,           // per-request solve memory ceiling [none;
+//    "maxMemoryMb":0}           // per-request solve memory ceiling [none;
 //                               // the server may clamp it further]
-//    "warmStart":true}          // incremental solve engine [on]
 //
 // Analyze response frame:
-//   {"id":7,"ok":true,"protocolVersion":4,
+//   {"id":7,"ok":true,"protocolVersion":5,
 //    "cacheHit":false,          // bound served from the solve cache
-//    "basisWarmStarted":false,  // cached structural basis seeded the solve
 //    "degradedAdmission":false, // overload clamped the deadline
 //    "digest":"<32 hex>","structuralDigest":"<32 hex>",
 //    "wallMicros":N,"solveMicros":N,
@@ -46,7 +44,7 @@
 //    "digest":"<32 hex>",       // the parametric digest an analyze
 //                               // response reported for the system
 //    "params":{"N":5, ...}}     // one integer per declared parameter
-// Response: {"id":8,"ok":true,"protocolVersion":4,
+// Response: {"id":8,"ok":true,"protocolVersion":5,
 //            "digest":"<32 hex>","bound":{"lo":L,"hi":H}}.
 // A digest with no cached formula answers code "notfound" (re-run the
 // analyze to rebuild it); an assignment outside the declared box or
@@ -94,7 +92,7 @@
 
 namespace cinderella::serve {
 
-inline constexpr int kProtocolVersion = 4;
+inline constexpr int kProtocolVersion = 5;
 
 enum class Op {
   Analyze,
@@ -180,6 +178,7 @@ struct Response {
   std::string errorCode;
   std::string error;
   bool cacheHit = false;
+  /// Never set; kept only for perfbench, removed by its next update.
   bool basisWarmStarted = false;
   bool degradedAdmission = false;
   std::int64_t wallMicros = 0;
@@ -235,7 +234,7 @@ struct Response {
 /// obs::MetricsSnapshot document) and is embedded as "metrics".
 [[nodiscard]] std::string encodeStatsResponse(
     const WireId& id, const ipet::SolveCacheStats& cache,
-    std::size_t boundEntries, std::size_t basisEntries,
+    std::size_t boundEntries,
     const ServeCounters& server, std::string_view metricsJson = {});
 /// `prometheus` is the text-exposition body (obs::prometheusText).
 [[nodiscard]] std::string encodeMetricsResponse(const WireId& id,

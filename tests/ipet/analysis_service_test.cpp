@@ -144,10 +144,10 @@ TEST(AnalysisService, DisabledCacheAlwaysSolves) {
   EXPECT_EQ(a.estimate.bound.hi, b.estimate.bound.hi);
 }
 
-TEST(AnalysisService, StructuralBasisWarmStartsRelatedSystem) {
-  // Same program, different functionality constraints: the full digests
-  // differ (no bound hit) but the structural digest matches, so the
-  // second solve warm-starts from the cached seed basis.
+TEST(AnalysisService, RelatedSystemSharesStructuralDigestButMisses) {
+  // Same program, different functionality constraints: the structural
+  // digest matches but the full digests differ, so there is no bound hit
+  // and the second system is solved.
   AnalysisService service;
   AnalysisRequest first = fig2Request();
   const AnalysisResult cold = service.analyze(first);
@@ -156,11 +156,10 @@ TEST(AnalysisService, StructuralBasisWarmStartsRelatedSystem) {
   AnalysisRequest related = fig2Request();
   related.constraints.clear();
   related.constraints.push_back({"x1 = 1", ""});
-  const AnalysisResult warmed = service.analyze(related);
-  EXPECT_FALSE(warmed.cacheHit);
-  EXPECT_TRUE(warmed.basisWarmStarted);
-  EXPECT_EQ(warmed.structuralDigest, cold.structuralDigest);
-  EXPECT_NE(warmed.fullDigest, cold.fullDigest);
+  const AnalysisResult solved = service.analyze(related);
+  EXPECT_FALSE(solved.cacheHit);
+  EXPECT_EQ(solved.structuralDigest, cold.structuralDigest);
+  EXPECT_NE(solved.fullDigest, cold.fullDigest);
 }
 
 TEST(AnalysisService, BenchmarkResolutionGoesThroughTheResolver) {

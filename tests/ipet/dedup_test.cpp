@@ -1,5 +1,5 @@
-// Constraint-set deduplication and domination pruning (the incremental
-// engine's cross-set layer): identical sets after row canonicalization
+// Constraint-set deduplication and domination pruning (the analyzer's
+// pre-pass before set dispatch): identical sets after row canonicalization
 // are solved once, sets whose rows are a proper superset of a solved
 // set's rows are skipped (their feasible region is contained, so the
 // merged interval already covers them), and the bounds are bit-identical
@@ -88,23 +88,6 @@ TEST(Dedup, DistinctSetsAllSolve) {
   EXPECT_EQ(e.stats.dedupedSets, 0);
   EXPECT_EQ(e.stats.dominatedSets, 0);
   EXPECT_EQ(e.stats.ilpSolves, 4);
-}
-
-TEST(Dedup, DisabledWithWarmStartOff) {
-  const auto compiled = compileFig2();
-  Analyzer analyzer = makeFig2(compiled);
-  analyzer.addConstraint("x1 = 0 | x1 = 0", "f");
-
-  SolveControl cold;
-  cold.warmStart = false;
-  const Estimate e = analyzer.estimate(cold);
-  EXPECT_EQ(e.stats.dedupedSets, 0);
-  EXPECT_EQ(e.stats.dominatedSets, 0);
-  EXPECT_EQ(e.stats.ilpSolves, 4);  // both sets solved
-  EXPECT_EQ(e.stats.warmStarts, 0);
-
-  const Estimate warm = analyzer.estimate();
-  EXPECT_EQ(e.bound, warm.bound);
 }
 
 TEST(Dedup, DuplicateOfNullSetStaysPruned) {

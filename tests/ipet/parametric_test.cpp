@@ -15,6 +15,7 @@
 #include "cinderella/ipet/parametric.hpp"
 #include "cinderella/ipet/solve_cache.hpp"
 #include "cinderella/support/error.hpp"
+#include "temp_path.hpp"
 
 namespace cinderella::ipet {
 namespace {
@@ -232,8 +233,7 @@ TEST(Parametric, RejectsLpInputWithParameters) {
 }
 
 TEST(Parametric, FormulaSurvivesASnapshotRoundTrip) {
-  const std::string path =
-      ::testing::TempDir() + "parametric_formula_snapshot.bin";
+  const std::string path = testTempPath(".bin");
   Digest digest;
   WcetFormula formula;
   {

@@ -4,19 +4,27 @@
 // estimates are never cached), and disk snapshot round-trips including
 // corruption handling.
 //
-// Crash safety (the PR-9 contract): the admission journal replays
+// Crash safety: the admission journal replays
 // everything a kill -9 between snapshots would otherwise lose, save()
 // folds the journal into the snapshot atomically, and restore()
 // recovers the longest consistent prefix of a snapshot + journal pair
 // truncated at ANY byte offset — never a corrupt entry, never a crash.
+//
+// Compatibility: tests/ipet/fixtures/legacy_cache.{snap,journal} were
+// written by the cache when it still had a store of warm-start bases
+// (snapshot v3 with one basis entry; one journal record carrying basis
+// bytes).  They must still load, and their bounds must still be served.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
 #include <string>
 
+#include "cinderella/ipet/analysis.hpp"
 #include "cinderella/ipet/solve_cache.hpp"
+#include "cinderella/suite/suite.hpp"
 #include "cinderella/support/fault_injector.hpp"
+#include "temp_path.hpp"
 
 namespace cinderella::ipet {
 namespace {
@@ -31,23 +39,16 @@ Estimate cleanEstimate(std::int64_t lo, std::int64_t hi) {
   return e;
 }
 
-lp::Basis someBasis() {
-  lp::Basis basis;
-  basis.numVars = 4;
-  basis.basicCol = {0, 6, 3};
-  return basis;
-}
-
 class SolveCacheTest : public ::testing::Test {
  protected:
-  std::string tmpPath_ = ::testing::TempDir() + "solve_cache_test.csnap";
+  std::string tmpPath_ = testTempPath(".csnap");
   void TearDown() override { std::remove(tmpPath_.c_str()); }
 };
 
 TEST_F(SolveCacheTest, HitReturnsBitIdenticalBound) {
   SolveCache cache(SolveCacheOptions{4});
   const Estimate e = cleanEstimate(449, 5884);
-  ASSERT_TRUE(cache.insert(key(1), key(100), e, someBasis(), 777));
+  ASSERT_TRUE(cache.insert(key(1), key(100), e, 777));
 
   const auto hit = cache.lookupBound(key(1));
   ASSERT_TRUE(hit.has_value());
@@ -56,33 +57,25 @@ TEST_F(SolveCacheTest, HitReturnsBitIdenticalBound) {
   EXPECT_EQ(hit->constraintSets, 3);
   EXPECT_EQ(hit->solveWallMicros, 777);
 
-  const auto basis = cache.lookupBasis(key(100));
-  ASSERT_TRUE(basis.has_value());
-  EXPECT_EQ(basis->numVars, 4);
-  EXPECT_EQ(basis->basicCol, (std::vector<int>{0, 6, 3}));
-
   const SolveCacheStats stats = cache.stats();
   EXPECT_EQ(stats.boundHits, 1);
-  EXPECT_EQ(stats.basisHits, 1);
   EXPECT_EQ(stats.insertions, 1);
 }
 
 TEST_F(SolveCacheTest, MissesAreCountedAndEmpty) {
   SolveCache cache(SolveCacheOptions{4});
   EXPECT_FALSE(cache.lookupBound(key(9)).has_value());
-  EXPECT_FALSE(cache.lookupBasis(key(9)).has_value());
   const SolveCacheStats stats = cache.stats();
   EXPECT_EQ(stats.boundMisses, 1);
-  EXPECT_EQ(stats.basisMisses, 1);
 }
 
 TEST_F(SolveCacheTest, LruEvictionUnderCapacityPressure) {
   SolveCache cache(SolveCacheOptions{2});
-  ASSERT_TRUE(cache.insert(key(1), {}, cleanEstimate(1, 10), {}, 1));
-  ASSERT_TRUE(cache.insert(key(2), {}, cleanEstimate(2, 20), {}, 1));
+  ASSERT_TRUE(cache.insert(key(1), {}, cleanEstimate(1, 10), 1));
+  ASSERT_TRUE(cache.insert(key(2), {}, cleanEstimate(2, 20), 1));
   // Touch 1 so 2 is the LRU victim.
   ASSERT_TRUE(cache.lookupBound(key(1)).has_value());
-  ASSERT_TRUE(cache.insert(key(3), {}, cleanEstimate(3, 30), {}, 1));
+  ASSERT_TRUE(cache.insert(key(3), {}, cleanEstimate(3, 30), 1));
 
   EXPECT_FALSE(cache.lookupBound(key(2)).has_value());
   EXPECT_TRUE(cache.lookupBound(key(1)).has_value());
@@ -94,11 +87,9 @@ TEST_F(SolveCacheTest, LruEvictionUnderCapacityPressure) {
 TEST_F(SolveCacheTest, CapacityZeroDisablesEverything) {
   SolveCache cache(SolveCacheOptions{0});
   EXPECT_FALSE(cache.enabled());
-  EXPECT_FALSE(cache.insert(key(1), key(2), cleanEstimate(1, 10),
-                            someBasis(), 1));
+  EXPECT_FALSE(cache.insert(key(1), key(2), cleanEstimate(1, 10), 1));
   EXPECT_FALSE(cache.lookupBound(key(1)).has_value());
   EXPECT_EQ(cache.boundEntries(), 0u);
-  EXPECT_EQ(cache.basisEntries(), 0u);
 }
 
 TEST_F(SolveCacheTest, AdmissionGateRejectsDegradedResults) {
@@ -126,24 +117,15 @@ TEST_F(SolveCacheTest, AdmissionGateRejectsDegradedResults) {
   EXPECT_TRUE(SolveCache::admissible(cleanEstimate(1, 10)));
 
   SolveCache cache(SolveCacheOptions{4});
-  EXPECT_FALSE(cache.insert(key(1), {}, timedOut, {}, 1));
+  EXPECT_FALSE(cache.insert(key(1), {}, timedOut, 1));
   EXPECT_FALSE(cache.lookupBound(key(1)).has_value());
   EXPECT_EQ(cache.stats().rejectedInserts, 1);
 }
 
-TEST_F(SolveCacheTest, EmptyBasisIsNotStored) {
-  SolveCache cache(SolveCacheOptions{4});
-  ASSERT_TRUE(cache.insert(key(1), key(2), cleanEstimate(1, 10), {}, 1));
-  EXPECT_EQ(cache.basisEntries(), 0u);
-  EXPECT_EQ(cache.boundEntries(), 1u);
-}
-
 TEST_F(SolveCacheTest, SnapshotRoundTripPreservesEntriesAndRecency) {
   SolveCache cache(SolveCacheOptions{2});
-  ASSERT_TRUE(cache.insert(key(1), key(100), cleanEstimate(1, 10),
-                           someBasis(), 11));
-  ASSERT_TRUE(cache.insert(key(2), key(200), cleanEstimate(2, 20),
-                           someBasis(), 22));
+  ASSERT_TRUE(cache.insert(key(1), key(100), cleanEstimate(1, 10), 11));
+  ASSERT_TRUE(cache.insert(key(2), key(200), cleanEstimate(2, 20), 22));
   ASSERT_TRUE(cache.lookupBound(key(1)).has_value());  // 2 is now LRU
 
   std::string error;
@@ -155,18 +137,17 @@ TEST_F(SolveCacheTest, SnapshotRoundTripPreservesEntriesAndRecency) {
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->bound.hi, 20);
   EXPECT_EQ(hit->solveWallMicros, 22);
-  ASSERT_TRUE(restored.lookupBasis(key(100)).has_value());
 
   // Recency survived the round trip: key(2) was oldest at save time,
   // but the lookup above refreshed it, so key(1) is evicted next.
-  ASSERT_TRUE(restored.insert(key(3), {}, cleanEstimate(3, 30), {}, 1));
+  ASSERT_TRUE(restored.insert(key(3), {}, cleanEstimate(3, 30), 1));
   EXPECT_FALSE(restored.lookupBound(key(1)).has_value());
   EXPECT_TRUE(restored.lookupBound(key(3)).has_value());
 }
 
 TEST_F(SolveCacheTest, LoadRejectsCorruptionAndKeepsContents) {
   SolveCache cache(SolveCacheOptions{4});
-  ASSERT_TRUE(cache.insert(key(1), {}, cleanEstimate(1, 10), {}, 1));
+  ASSERT_TRUE(cache.insert(key(1), {}, cleanEstimate(1, 10), 1));
   std::string error;
   ASSERT_TRUE(cache.save(tmpPath_, &error)) << error;
 
@@ -184,7 +165,7 @@ TEST_F(SolveCacheTest, LoadRejectsCorruptionAndKeepsContents) {
   }
 
   SolveCache victim(SolveCacheOptions{4});
-  ASSERT_TRUE(victim.insert(key(7), {}, cleanEstimate(7, 70), {}, 1));
+  ASSERT_TRUE(victim.insert(key(7), {}, cleanEstimate(7, 70), 1));
   EXPECT_FALSE(victim.load(tmpPath_, &error));
   EXPECT_FALSE(error.empty());
   // The failed load left the existing contents untouched.
@@ -205,7 +186,7 @@ TEST_F(SolveCacheTest, LoadReappliesOwnCapacity) {
     ASSERT_TRUE(big.insert(key(i), {},
                            cleanEstimate(static_cast<std::int64_t>(i),
                                          static_cast<std::int64_t>(10 * i)),
-                           {}, 1));
+                           1));
   }
   std::string error;
   ASSERT_TRUE(big.save(tmpPath_, &error)) << error;
@@ -244,7 +225,7 @@ void writeFileBytes(const std::string& path, const std::string& bytes) {
 
 class SolveCacheCrashTest : public ::testing::Test {
  protected:
-  std::string snap_ = ::testing::TempDir() + "solve_cache_crash.csnap";
+  std::string snap_ = testTempPath(".csnap");
   std::string journal_ = snap_ + ".journal";
 
   SolveCacheOptions journaled(std::size_t capacity) {
@@ -267,9 +248,8 @@ TEST_F(SolveCacheCrashTest, JournalReplaysAdmissionsAfterCrash) {
   // journal alone must reconstruct every admitted entry.
   {
     SolveCache cache(journaled(8));
-    ASSERT_TRUE(cache.insert(key(1), key(100), cleanEstimate(10, 100),
-                             someBasis(), 11));
-    ASSERT_TRUE(cache.insert(key(2), {}, cleanEstimate(20, 200), {}, 22));
+    ASSERT_TRUE(cache.insert(key(1), key(100), cleanEstimate(10, 100), 11));
+    ASSERT_TRUE(cache.insert(key(2), {}, cleanEstimate(20, 200), 22));
     cache.insertFormula(key(3), {someFormula(), 33});
     EXPECT_EQ(cache.stats().journaledInserts, 3);
     EXPECT_EQ(cache.stats().journalFailures, 0);
@@ -287,7 +267,6 @@ TEST_F(SolveCacheCrashTest, JournalReplaysAdmissionsAfterCrash) {
   EXPECT_EQ(hit->bound.lo, 10);
   EXPECT_EQ(hit->bound.hi, 100);
   EXPECT_EQ(hit->solveWallMicros, 11);
-  EXPECT_TRUE(revived.lookupBasis(key(100)).has_value());
   ASSERT_TRUE(revived.lookupBound(key(2)).has_value());
   const auto formula = revived.lookupFormula(key(3));
   ASSERT_TRUE(formula.has_value());
@@ -297,14 +276,14 @@ TEST_F(SolveCacheCrashTest, JournalReplaysAdmissionsAfterCrash) {
 
 TEST_F(SolveCacheCrashTest, SaveFoldsJournalIntoSnapshotAndResetsIt) {
   SolveCache cache(journaled(8));
-  ASSERT_TRUE(cache.insert(key(1), {}, cleanEstimate(1, 10), {}, 1));
+  ASSERT_TRUE(cache.insert(key(1), {}, cleanEstimate(1, 10), 1));
   std::string error;
   ASSERT_TRUE(cache.save(snap_, &error)) << error;
   EXPECT_TRUE(readFileBytes(journal_).empty())
       << "save() must reset the journal";
 
   // One more admission after the snapshot: lives only in the journal.
-  ASSERT_TRUE(cache.insert(key(2), {}, cleanEstimate(2, 20), {}, 2));
+  ASSERT_TRUE(cache.insert(key(2), {}, cleanEstimate(2, 20), 2));
   EXPECT_FALSE(readFileBytes(journal_).empty());
 
   SolveCache revived(journaled(8));
@@ -326,12 +305,12 @@ TEST_F(SolveCacheCrashTest, TornSnapshotRecoversConsistentPrefixAtEveryByte) {
     ASSERT_TRUE(cache.insert(key(i), key(100 + i),
                              cleanEstimate(static_cast<std::int64_t>(i),
                                            static_cast<std::int64_t>(10 * i)),
-                             someBasis(), static_cast<std::int64_t>(i)));
+                             static_cast<std::int64_t>(i)));
   }
   cache.insertFormula(key(50), {someFormula(), 5});
   std::string error;
   ASSERT_TRUE(cache.save(snap_, &error)) << error;
-  ASSERT_TRUE(cache.insert(key(9), {}, cleanEstimate(9, 90), {}, 9));
+  ASSERT_TRUE(cache.insert(key(9), {}, cleanEstimate(9, 90), 9));
 
   const std::string blob = readFileBytes(snap_);
   const std::string journalBytes = readFileBytes(journal_);
@@ -365,7 +344,6 @@ TEST_F(SolveCacheCrashTest, TornSnapshotRecoversConsistentPrefixAtEveryByte) {
     } else {
       EXPECT_TRUE(report.complete) << report.detail;
       EXPECT_EQ(report.bounds, 3u);
-      EXPECT_EQ(report.bases, 3u);
       EXPECT_EQ(report.formulas, 1u);
       ++fullyRestored;
     }
@@ -376,9 +354,8 @@ TEST_F(SolveCacheCrashTest, TornSnapshotRecoversConsistentPrefixAtEveryByte) {
 TEST_F(SolveCacheCrashTest, TornJournalRecoversRecordPrefixAtEveryByte) {
   {
     SolveCache cache(journaled(8));
-    ASSERT_TRUE(cache.insert(key(1), key(101), cleanEstimate(1, 10),
-                             someBasis(), 1));
-    ASSERT_TRUE(cache.insert(key(2), {}, cleanEstimate(2, 20), {}, 2));
+    ASSERT_TRUE(cache.insert(key(1), key(101), cleanEstimate(1, 10), 1));
+    ASSERT_TRUE(cache.insert(key(2), {}, cleanEstimate(2, 20), 2));
     cache.insertFormula(key(3), {someFormula(), 3});
   }
   const std::string journalBytes = readFileBytes(journal_);
@@ -406,8 +383,8 @@ TEST_F(SolveCacheCrashTest, TornJournalRecoversRecordPrefixAtEveryByte) {
 
 TEST_F(SolveCacheCrashTest, BitFlipIsDetectedNotInstalled) {
   SolveCache cache(journaled(8));
-  ASSERT_TRUE(cache.insert(key(1), {}, cleanEstimate(1, 10), {}, 1));
-  ASSERT_TRUE(cache.insert(key(2), {}, cleanEstimate(2, 20), {}, 2));
+  ASSERT_TRUE(cache.insert(key(1), {}, cleanEstimate(1, 10), 1));
+  ASSERT_TRUE(cache.insert(key(2), {}, cleanEstimate(2, 20), 2));
   std::string error;
   ASSERT_TRUE(cache.save(snap_, &error)) << error;
 
@@ -430,11 +407,11 @@ TEST_F(SolveCacheCrashTest, BitFlipIsDetectedNotInstalled) {
 
 TEST_F(SolveCacheCrashTest, FaultedSaveLeavesPreviousSnapshotLoadable) {
   SolveCache cache(SolveCacheOptions{8});
-  ASSERT_TRUE(cache.insert(key(1), {}, cleanEstimate(1, 10), {}, 1));
+  ASSERT_TRUE(cache.insert(key(1), {}, cleanEstimate(1, 10), 1));
   std::string error;
   ASSERT_TRUE(cache.save(snap_, &error)) << error;
 
-  ASSERT_TRUE(cache.insert(key(2), {}, cleanEstimate(2, 20), {}, 2));
+  ASSERT_TRUE(cache.insert(key(2), {}, cleanEstimate(2, 20), 2));
   {
     support::FaultPlan plan;
     plan.snapshotWriteRate = 1.0;
@@ -451,6 +428,57 @@ TEST_F(SolveCacheCrashTest, FaultedSaveLeavesPreviousSnapshotLoadable) {
   ASSERT_TRUE(revived.load(snap_, &error)) << error;
   EXPECT_TRUE(revived.lookupBound(key(1)).has_value());
   EXPECT_FALSE(revived.lookupBound(key(2)).has_value());
+}
+
+/// The committed fixture pair, copied to this test's scratch paths so a
+/// run can never modify the originals.
+struct LegacyFixture {
+  std::string snap = testTempPath(".csnap");
+  std::string journal = snap + ".journal";
+
+  LegacyFixture() {
+    const std::string dir = CINDERELLA_IPET_FIXTURE_DIR;
+    writeFileBytes(snap, readFileBytes(dir + "/legacy_cache.snap"));
+    writeFileBytes(journal, readFileBytes(dir + "/legacy_cache.journal"));
+  }
+  ~LegacyFixture() {
+    std::remove(snap.c_str());
+    std::remove(journal.c_str());
+  }
+};
+
+TEST(SolveCacheCompat, LegacySnapshotWithBasesLoadsStrictly) {
+  LegacyFixture fixture;
+  SolveCache cache(SolveCacheOptions{8});
+  std::string error;
+  ASSERT_TRUE(cache.load(fixture.snap, &error)) << error;
+  EXPECT_EQ(cache.boundEntries(), 1u);
+}
+
+TEST(SolveCacheCompat, LegacySnapshotAndJournalServeTheirBoundsAsHits) {
+  LegacyFixture fixture;
+  AnalysisServiceOptions options;
+  options.cache.capacity = 8;
+  options.cache.journalPath = fixture.journal;
+  options.benchmarkResolver = suite::benchmarkResolver();
+  AnalysisService service(options);
+  const SnapshotRestoreReport report = service.cache().restore(fixture.snap);
+  EXPECT_TRUE(report.complete) << report.detail;
+  EXPECT_EQ(report.bounds, 1u);          // check_data, from the snapshot
+  EXPECT_EQ(report.journalRecords, 1u);  // piksrt, from the journal
+  EXPECT_EQ(service.cache().boundEntries(), 2u);
+
+  for (const char* name : {"check_data", "piksrt"}) {
+    SCOPED_TRACE(name);
+    AnalysisRequest request;
+    request.benchmark = name;
+    const AnalysisResult cached = service.analyze(request);
+    EXPECT_TRUE(cached.cacheHit);
+    request.cachePolicy = CachePolicy::Bypass;
+    const AnalysisResult solved = service.analyze(request);
+    EXPECT_FALSE(solved.cacheHit);
+    EXPECT_EQ(cached.estimate.bound, solved.estimate.bound);
+  }
 }
 
 }  // namespace

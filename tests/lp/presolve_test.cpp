@@ -1,13 +1,10 @@
 // lp::Reduction unit tests: the fixpoint reductions themselves, exact
-// agreement between presolved and raw solves, and the postsolve basis
-// mapping — reduced basis -> postsolveBasis -> CBAS codec -> warm start
-// on the original problem.
+// agreement between presolved and raw solves, and the postsolve mapping
+// of reduced-space solutions back to the original problem.
 #include <gtest/gtest.h>
 
-#include <optional>
 #include <vector>
 
-#include "cinderella/lp/basis_io.hpp"
 #include "cinderella/lp/presolve.hpp"
 #include "cinderella/lp/problem.hpp"
 #include "cinderella/lp/simplex.hpp"
@@ -71,44 +68,12 @@ TEST(Presolve, FlowSystemShrinksAndAgreesWithRawSolve) {
 TEST(Presolve, PostsolveValuesSatisfyEveryOriginalRow) {
   const Problem p = diamondWithLoop();
   const Reduction r = Reduction::reduce(p, SimplexOptions{});
-  Basis reducedBasis;
-  const Solution sol =
-      solveWarm(r.reduced(), noPresolve(), nullptr, &reducedBasis);
+  const Solution sol = solve(r.reduced(), noPresolve());
   ASSERT_EQ(sol.status, SolveStatus::Optimal);
   const std::vector<double> original = r.postsolveValues(sol.values);
   ASSERT_EQ(original.size(), static_cast<std::size_t>(p.numVars()));
   EXPECT_TRUE(p.isFeasiblePoint(original));
   EXPECT_DOUBLE_EQ(p.objective().evaluate(original), 82.0);
-}
-
-TEST(Presolve, PostsolveBasisRoundTripsThroughCbasAndWarmStarts) {
-  const Problem p = diamondWithLoop();
-  const Reduction r = Reduction::reduce(p, SimplexOptions{});
-  Basis reducedBasis;
-  const Solution sol =
-      solveWarm(r.reduced(), noPresolve(), nullptr, &reducedBasis);
-  ASSERT_EQ(sol.status, SolveStatus::Optimal);
-  ASSERT_FALSE(reducedBasis.empty());
-
-  const Basis postsolved = r.postsolveBasis(reducedBasis);
-  EXPECT_EQ(postsolved.numVars, p.numVars());
-  ASSERT_EQ(postsolved.basicCol.size(), p.constraints().size());
-
-  // Through the CBAS codec, exactly as the persistent solve cache
-  // stores bases.
-  const std::optional<Basis> parsed =
-      parseBasis(serializeBasis(postsolved));
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->numVars, postsolved.numVars);
-  EXPECT_EQ(parsed->basicCol, postsolved.basicCol);
-
-  // The round-tripped basis installs on the *original* problem and
-  // reproduces the optimum as a warm start without a cold rebuild.
-  const Solution warm = solveWarm(p, noPresolve(), &*parsed, nullptr);
-  ASSERT_EQ(warm.status, SolveStatus::Optimal);
-  EXPECT_TRUE(warm.warmUsed);
-  EXPECT_FALSE(warm.warmFailed);
-  EXPECT_DOUBLE_EQ(warm.objective, 82.0);
 }
 
 TEST(Presolve, AllFixedProblemSolvesWithoutSimplexWork) {
@@ -132,15 +97,8 @@ TEST(Presolve, AllFixedProblemSolvesWithoutSimplexWork) {
   EXPECT_DOUBLE_EQ(reduced.values[1], 4.0);
   EXPECT_EQ(reduced.pivots, 0);
 
-  // Degenerate postsolve: an empty reduced basis still maps to a full
-  // original-space basis (one column per removed row) that installs.
   const Reduction r = Reduction::reduce(p, SimplexOptions{});
   EXPECT_TRUE(r.reduced().constraints().empty());
-  const Basis postsolved = r.postsolveBasis(Basis{});
-  ASSERT_EQ(postsolved.basicCol.size(), 2u);
-  const Solution warm = solveWarm(p, noPresolve(), &postsolved, nullptr);
-  ASSERT_EQ(warm.status, SolveStatus::Optimal);
-  EXPECT_DOUBLE_EQ(warm.objective, 14.0);
 }
 
 TEST(Presolve, ContradictoryDuplicatesProveInfeasibility) {
@@ -168,31 +126,6 @@ TEST(Presolve, UnboundedVerdictAgreesWithRawSolve) {
 
   EXPECT_EQ(solve(p).status, SolveStatus::Unbounded);
   EXPECT_EQ(solve(p, noPresolve()).status, SolveStatus::Unbounded);
-}
-
-TEST(Presolve, SingularWarmBasisTranslationFallsBackToNullopt) {
-  // x2 is eliminated (fixed at 1), so the reduction is effective, while
-  // the two inequality rows and x0/x1 survive into the reduced space.
-  Problem p;
-  p.addVar("x0");
-  p.addVar("x1");
-  p.addVar("x2");
-  p.setObjective(expr({{0, 1.0}, {1, 1.0}, {2, 1.0}}), Sense::Maximize);
-  p.addConstraint(expr({{2, 1.0}}), Relation::Equal, 1.0);
-  p.addConstraint(expr({{0, 1.0}, {1, 2.0}}), Relation::LessEq, 10.0);
-  p.addConstraint(expr({{0, 2.0}, {1, 1.0}}), Relation::LessEq, 10.0);
-
-  const Reduction r = Reduction::reduce(p, SimplexOptions{});
-  ASSERT_TRUE(r.effective());
-  ASSERT_EQ(r.reduced().constraints().size(), 2u);
-
-  // A warm basis claiming the same surviving variable basic in both
-  // surviving rows would map to a singular reduced basis; the
-  // translation must refuse rather than hand the simplex one.
-  Basis degenerate;
-  degenerate.numVars = p.numVars();
-  degenerate.basicCol.assign(p.constraints().size(), 0);
-  EXPECT_FALSE(r.translateBasis(degenerate).has_value());
 }
 
 TEST(Presolve, DisabledOptionLeavesProblemUntouched) {

@@ -5,10 +5,12 @@
 
 #include <string>
 
+#include "cinderella/ipet/analysis.hpp"
 #include "cinderella/ipet/formula.hpp"
 #include "cinderella/obs/json_parse.hpp"
 #include "cinderella/obs/report.hpp"
 #include "cinderella/serve/protocol.hpp"
+#include "cinderella/suite/suite.hpp"
 
 namespace cinderella::serve {
 namespace {
@@ -27,7 +29,6 @@ TEST(ServeProtocol, RequestRoundTripPreservesEveryField) {
   frame.request.control.threads = 4;
   frame.request.control.deadline = std::chrono::milliseconds(250);
   frame.request.control.maxNodes = 99;
-  frame.request.control.warmStart = false;
 
   const std::string line = encodeRequest(frame);
   EXPECT_EQ(line.find('\n'), std::string::npos);
@@ -48,7 +49,6 @@ TEST(ServeProtocol, RequestRoundTripPreservesEveryField) {
   EXPECT_EQ(back.request.control.threads, 4);
   EXPECT_EQ(back.request.control.deadline.count(), 250);
   EXPECT_EQ(back.request.control.maxNodes, 99);
-  EXPECT_FALSE(back.request.control.warmStart);
 }
 
 TEST(ServeProtocol, BenchmarkRequestAndDefaults) {
@@ -61,7 +61,31 @@ TEST(ServeProtocol, BenchmarkRequestAndDefaults) {
   EXPECT_TRUE(back.request.source.empty());
   EXPECT_EQ(back.request.cacheMode, ipet::CacheMode::AllMiss);
   EXPECT_EQ(back.request.cachePolicy, ipet::CachePolicy::ReadWrite);
-  EXPECT_TRUE(back.request.control.warmStart);
+}
+
+TEST(ServeProtocol, LegacyWarmStartKeyIsAcceptedAndIgnored) {
+  // Clients of protocol v4 and earlier may still send "warmStart"; the
+  // key is ignored like any unknown key and the answer is unchanged.
+  RequestFrame legacy;
+  RequestFrame current;
+  std::string error;
+  ASSERT_TRUE(decodeRequest(
+      R"({"op":"analyze","benchmark":"piksrt","warmStart":false})", &legacy,
+      &error))
+      << error;
+  ASSERT_TRUE(decodeRequest(R"({"op":"analyze","benchmark":"piksrt"})",
+                            &current, &error))
+      << error;
+
+  ipet::AnalysisServiceOptions options;
+  options.benchmarkResolver = suite::benchmarkResolver();
+  const ipet::AnalysisService service(options);
+  legacy.request.cachePolicy = ipet::CachePolicy::Bypass;
+  current.request.cachePolicy = ipet::CachePolicy::Bypass;
+  const ipet::AnalysisResult a = service.analyze(legacy.request);
+  const ipet::AnalysisResult b = service.analyze(current.request);
+  EXPECT_EQ(a.estimate.bound, b.estimate.bound);
+  EXPECT_EQ(a.fullDigest, b.fullDigest);
 }
 
 TEST(ServeProtocol, ConstraintsAcceptBareStrings) {
@@ -256,7 +280,7 @@ TEST(ServeProtocol, ErrorPongStatsAndAckFrames) {
   counters.requests = 14;
   counters.overloadAdmissions = 1;
   const auto stats =
-      decodeResponse(encodeStatsResponse(6, cacheStats, 3, 2, counters),
+      decodeResponse(encodeStatsResponse(6, cacheStats, 3, counters),
                      &error);
   ASSERT_TRUE(stats.has_value()) << error;
   EXPECT_TRUE(stats->ok);

@@ -21,6 +21,7 @@
 #include "cinderella/serve/client.hpp"
 #include "cinderella/serve/server.hpp"
 #include "cinderella/suite/suite.hpp"
+#include "temp_path.hpp"
 
 namespace cinderella::serve {
 namespace {
@@ -299,7 +300,7 @@ TEST(ServeDaemon, ConcurrentClientsShareThePoolAndCache) {
 }
 
 TEST(ServeDaemon, SnapshotSurvivesRestart) {
-  const std::string path = ::testing::TempDir() + "serve_daemon_test.csnap";
+  const std::string path = testTempPath(".csnap");
   std::remove(path.c_str());
   std::int64_t coldHi = 0;
   {
@@ -600,7 +601,7 @@ TEST(ServeDaemon, RetryReconnectsAfterDaemonRestartOnSamePort) {
 }
 
 TEST(ServeDaemon, JournalRecoversAdmissionsAfterUncleanExit) {
-  const std::string snap = ::testing::TempDir() + "serve_journal_test.csnap";
+  const std::string snap = testTempPath(".csnap");
   const std::string journal = snap + ".journal";
   std::remove(snap.c_str());
   std::remove(journal.c_str());
