@@ -53,7 +53,7 @@ void BM_SimplexFlowChain(benchmark::State& state) {
     benchmark::DoNotOptimize(s.objective);
   }
   state.counters["pivots"] =
-      static_cast<double>(lp::solve(p).pivots);
+      static_cast<double>(lp::solve(p).counters.totalPivots);
 }
 
 void BM_IlpFlowChain(benchmark::State& state) {

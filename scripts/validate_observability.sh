@@ -23,6 +23,22 @@ for b in "${BENCHMARKS[@]}"; do
     --verbose-solve
   python3 -m json.tool "$OUT/trace-$b.json" > /dev/null
   python3 -m json.tool "$OUT/report-$b.json" > /dev/null
+  # Each solver counter in stats must equal its sum over the per-side
+  # records; a record omits a zero counter (schema v5), so absent is 0.
+  python3 - "$OUT/report-$b.json" <<'PY'
+import json
+import sys
+
+doc = json.load(open(sys.argv[1]))
+sides = [s[k] for s in doc["sets"] for k in ("worst", "best")]
+for name in ("lpCalls", "nodesExpanded", "totalPivots", "devexPivots",
+             "blandRestarts", "checkedPromotions", "presolveRowsRemoved",
+             "presolveColsFixed", "presolveSubstitutions", "presolveRounds"):
+    total = sum(side.get(name, 0) for side in sides)
+    if doc["stats"][name] != total:
+        sys.exit(f"{sys.argv[1]}: stats.{name} = {doc['stats'][name]}, "
+                 f"but the set records sum to {total}")
+PY
   echo "validate_observability: $b ok"
 done
 

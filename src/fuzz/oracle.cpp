@@ -72,9 +72,8 @@ bool sameDeterministicResult(const ipet::Estimate& a, const ipet::Estimate& b,
   const ipet::SolveStats& sb = b.stats;
   if (sa.constraintSets != sb.constraintSets ||
       sa.prunedNullSets != sb.prunedNullSets ||
-      sa.ilpSolves != sb.ilpSolves || sa.lpCalls != sb.lpCalls ||
-      sa.nodesExpanded != sb.nodesExpanded ||
-      sa.totalPivots != sb.totalPivots) {
+      sa.ilpSolves != sb.ilpSolves ||
+      static_cast<const lp::SolverCounters&>(sa) != sb) {
     return fail("solve stats differ");
   }
   if (a.worstCounts.size() != b.worstCounts.size() ||

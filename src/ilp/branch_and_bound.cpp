@@ -196,15 +196,8 @@ IlpSolution solve(const lp::Problem& problem, const IlpOptions& options) {
 
     applyCuts(&work, baseRows, node.cuts);
     const lp::Solution relax = lp::solve(work, options.lpOptions);
+    result.stats += relax.counters;
     ++result.stats.nodesExpanded;
-    ++result.stats.lpCalls;
-    result.stats.totalPivots += relax.pivots;
-    result.stats.devexPivots += relax.devexPivots;
-    result.stats.presolveRowsRemoved += relax.presolve.rowsRemoved;
-    result.stats.presolveColsFixed += relax.presolve.colsFixed;
-    result.stats.presolveSubstitutions += relax.presolve.substitutions;
-    result.stats.presolveRounds += relax.presolve.propagationRounds;
-    if (relax.blandRestart) ++result.stats.blandRestarts;
     if (rootNode && relax.status == lp::SolveStatus::Optimal) {
       // The root relaxation bounds the ILP optimum from the relaxed
       // side; the analyzer's degradation ladder falls back to it when
@@ -236,7 +229,7 @@ IlpSolution solve(const lp::Problem& problem, const IlpOptions& options) {
 
     const auto fractional = mostFractional(relax.values, options.intTol);
     if (rootNode) {
-      result.stats.firstRelaxationIntegral = !fractional.has_value();
+      result.firstRelaxationIntegral = !fractional.has_value();
       rootNode = false;
     }
 

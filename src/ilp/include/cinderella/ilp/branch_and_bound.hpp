@@ -21,37 +21,6 @@ enum class IlpStatus { Optimal, Infeasible, Unbounded, Limit, Interrupted };
 
 [[nodiscard]] const char* ilpStatusStr(IlpStatus status);
 
-struct IlpStats {
-  /// Branch-and-bound nodes expanded (subproblems whose relaxation was
-  /// solved).  This — never lpCalls — is what IlpOptions::maxNodes
-  /// budgets, so node accounting and LP-call accounting cannot drift
-  /// apart if a node ever solves more (or fewer) than one LP.
-  int nodesExpanded = 0;
-  /// Number of LP relaxations solved.  Today every expanded node solves
-  /// exactly one relaxation, so nodesExpanded == lpCalls.
-  int lpCalls = 0;
-  /// True when the root relaxation was already integral (paper's claim).
-  bool firstRelaxationIntegral = false;
-  /// Total simplex pivots summed over all LP calls.
-  int totalPivots = 0;
-  /// Incumbent-objective recomputations whose 64-bit fast path
-  /// overflowed and were redone in __int128 (see checked_math.hpp).
-  int checkedPromotions = 0;
-  /// LP calls that fell back to Bland's rule after Dantzig cycled.
-  int blandRestarts = 0;
-  /// Devex reference-framework pivots across all LP calls (included in
-  /// totalPivots; the remainder ran under Dantzig or Bland).
-  int devexPivots = 0;
-  /// Presolve reductions summed over all LP calls: constraint rows
-  /// removed, variables fixed at an exact value, and variables
-  /// substituted out through singleton equalities.
-  int presolveRowsRemoved = 0;
-  int presolveColsFixed = 0;
-  int presolveSubstitutions = 0;
-  /// Presolve fixpoint rounds summed over all LP calls.
-  int presolveRounds = 0;
-};
-
 struct IlpSolution {
   IlpStatus status = IlpStatus::Infeasible;
   double objective = 0.0;
@@ -74,11 +43,15 @@ struct IlpSolution {
   /// haveRelaxationBound; the degradation ladder falls back to it.
   double relaxationBound = 0.0;
   bool haveRelaxationBound = false;
-  IlpStats stats;
+  /// True when the root relaxation was already integral (paper's claim).
+  bool firstRelaxationIntegral = false;
+  /// Work summed over every LP relaxation solved, plus the nodes
+  /// expanded and this solve's checked promotions.
+  lp::SolverCounters stats;
 };
 
 struct IlpOptions {
-  /// Maximum branch-and-bound nodes expanded (IlpStats::nodesExpanded)
+  /// Maximum branch-and-bound nodes expanded (stats.nodesExpanded)
   /// before giving up with Limit.
   int maxNodes = 100000;
   /// |x - round(x)| below this counts as integral.

@@ -345,23 +345,15 @@ AnalysisResult AnalysisService::analyzeLp(
     IlpSolveRecord ilpRecord;
     ilpRecord.solved = true;
     ilpRecord.feasible = solution.status == ilp::IlpStatus::Optimal;
-    ilpRecord.nodes = solution.stats.nodesExpanded;
-    ilpRecord.lpCalls = solution.stats.lpCalls;
-    ilpRecord.pivots = solution.stats.totalPivots;
-    ilpRecord.firstRelaxationIntegral = solution.stats.firstRelaxationIntegral;
-    ilpRecord.checkedPromotions = solution.stats.checkedPromotions;
-    ilpRecord.blandRestarts = solution.stats.blandRestarts;
+    ilpRecord.firstRelaxationIntegral = solution.firstRelaxationIntegral;
+    ilpRecord.counters = solution.stats;
     ilpRecord.wallMicros = microsSince(ilpStart);
 
     estimate.stats.ilpSolves += 1;
-    estimate.stats.lpCalls += solution.stats.lpCalls;
-    estimate.stats.nodesExpanded += solution.stats.nodesExpanded;
-    estimate.stats.totalPivots += solution.stats.totalPivots;
-    estimate.stats.checkedPromotions += solution.stats.checkedPromotions;
-    estimate.stats.blandRestarts += solution.stats.blandRestarts;
+    estimate.stats += solution.stats;
     estimate.stats.allFirstRelaxationsIntegral =
         estimate.stats.allFirstRelaxationsIntegral &&
-        solution.stats.firstRelaxationIntegral;
+        solution.firstRelaxationIntegral;
 
     if (ilpRecord.feasible) {
       ilpRecord.objective = exactObjective(solution);

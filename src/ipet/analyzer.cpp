@@ -1444,10 +1444,10 @@ Estimate Analyzer::estimate(const SolveControl& control) const {
           lp::Problem probe = p;
           probe.setObjective(lp::LinearExpr{}, lp::Sense::Maximize);
           const lp::Solution sol = lp::solve(probe, ilpOptions.lpOptions);
-          rec.probePivots = sol.pivots;
+          rec.probePivots = sol.counters.totalPivots;
           rec.probeMicros = microsSince(probeStart);
           const bool null = (sol.status == lp::SolveStatus::Infeasible);
-          probeSpan.arg("pivots", sol.pivots)
+          probeSpan.arg("pivots", sol.counters.totalPivots)
               .arg("verdict", std::string(null ? "null" : "feasible"));
           if (null) {
             rec.pruned = true;
@@ -1476,18 +1476,8 @@ Estimate Analyzer::estimate(const SolveControl& control) const {
         ilp::IlpSolution solution = ilp::solve(problem, ilpOptions);
         slot->solved = true;
         slot->feasible = (solution.status == ilp::IlpStatus::Optimal);
-        slot->nodes = solution.stats.nodesExpanded;
-        slot->lpCalls = solution.stats.lpCalls;
-        slot->pivots = solution.stats.totalPivots;
-        slot->firstRelaxationIntegral =
-            solution.stats.firstRelaxationIntegral;
-        slot->checkedPromotions = solution.stats.checkedPromotions;
-        slot->blandRestarts = solution.stats.blandRestarts;
-        slot->devexPivots = solution.stats.devexPivots;
-        slot->presolveRowsRemoved = solution.stats.presolveRowsRemoved;
-        slot->presolveColsFixed = solution.stats.presolveColsFixed;
-        slot->presolveSubstitutions = solution.stats.presolveSubstitutions;
-        slot->presolveRounds = solution.stats.presolveRounds;
+        slot->firstRelaxationIntegral = solution.firstRelaxationIntegral;
+        slot->counters = solution.stats;
         slot->wallMicros = microsSince(ilpStart);
         if (slot->feasible) {
           // Prefer the checked integer recomputation: the double
@@ -1510,7 +1500,7 @@ Estimate Analyzer::estimate(const SolveControl& control) const {
       auto relaxFromOwnLp = [&](lp::Problem& problem, bool worstSide) {
         try {
           const lp::Solution sol = lp::solve(problem, ilpOptions.lpOptions);
-          rec.fallbackPivots += sol.pivots;
+          rec.fallbackPivots += sol.counters.totalPivots;
           if (sol.status == lp::SolveStatus::Infeasible) {
             return;  // provably empty set: nothing to bound, and soundly so
           }
@@ -1764,16 +1754,7 @@ Estimate Analyzer::estimate(const SolveControl& control) const {
     for (const IlpSolveRecord* ilpRec : {&rec.worst, &rec.best}) {
       if (!ilpRec->solved) continue;
       ++result.stats.ilpSolves;
-      result.stats.lpCalls += ilpRec->lpCalls;
-      result.stats.nodesExpanded += ilpRec->nodes;
-      result.stats.totalPivots += ilpRec->pivots;
-      result.stats.checkedPromotions += ilpRec->checkedPromotions;
-      result.stats.blandRestarts += ilpRec->blandRestarts;
-      result.stats.devexPivots += ilpRec->devexPivots;
-      result.stats.presolveRowsRemoved += ilpRec->presolveRowsRemoved;
-      result.stats.presolveColsFixed += ilpRec->presolveColsFixed;
-      result.stats.presolveSubstitutions += ilpRec->presolveSubstitutions;
-      result.stats.presolveRounds += ilpRec->presolveRounds;
+      result.stats += ilpRec->counters;
       result.stats.allFirstRelaxationsIntegral &=
           ilpRec->firstRelaxationIntegral;
     }

@@ -35,6 +35,7 @@
 #include "cinderella/ilp/branch_and_bound.hpp"
 #include "cinderella/ipet/constraint_lang.hpp"
 #include "cinderella/ipet/digest.hpp"
+#include "cinderella/lp/counters.hpp"
 #include "cinderella/march/cost_model.hpp"
 #include "cinderella/support/error.hpp"
 #include "cinderella/vm/module.hpp"
@@ -154,23 +155,19 @@ struct Interval {
   friend bool operator==(const Interval&, const Interval&) = default;
 };
 
-struct SolveStats {
+/// Estimate totals.  The inherited solver counters are summed over the
+/// ILP solves only (not probes or fallback LPs), so they equal the sums
+/// over the solved IlpSolveRecords.  `==` on two SolveStats is the
+/// inherited one and compares those counters only.
+struct SolveStats : lp::SolverCounters {
   /// Constraint sets after DNF combination (paper Table I "Sets").
   int constraintSets = 0;
   /// Sets detected as null (infeasible) and pruned before the ILP.
   int prunedNullSets = 0;
   /// ILPs actually solved (2 per surviving set: max and min).
   int ilpSolves = 0;
-  /// LP relaxations across all ILPs.
-  int lpCalls = 0;
-  /// Branch-and-bound nodes expanded across all ILPs (the quantity
-  /// IlpOptions::maxNodes budgets; equals lpCalls while every node costs
-  /// exactly one relaxation, but tracked separately so budget and
-  /// LP-call accounting cannot drift apart).
-  int nodesExpanded = 0;
   /// True when every root relaxation was already integral (paper §VI-A).
   bool allFirstRelaxationsIntegral = true;
-  int totalPivots = 0;
   /// ConflictGraph mode: flow variables added and sets that exceeded the
   /// node cap (falling back to all-miss).
   int cacheFlowVars = 0;
@@ -180,12 +177,6 @@ struct SolveStats {
   int relaxedSets = 0;
   int structuralSets = 0;
   int failedSets = 0;
-  /// Incumbent objectives redone in __int128 after 64-bit overflow,
-  /// summed over all ILP solves (equals the sum over setRecords).
-  int checkedPromotions = 0;
-  /// LP solves that re-ran under Bland's rule after Dantzig hit the
-  /// pivot limit, summed over all ILP solves.
-  int blandRestarts = 0;
   /// Sets skipped because an identical set (after row canonicalization)
   /// was solved instead (SetSolveRecord::sharedWith names it).  Skipped
   /// sets whose representative proved null count under prunedNullSets,
@@ -207,17 +198,6 @@ struct SolveStats {
   int installPivots = 0;
   /// Never written; kept only for perfbench, removed by its next update.
   int seedPivots = 0;
-  /// Devex reference-framework pivots across the ILP solves (included
-  /// in totalPivots; the remainder ran under Dantzig or Bland).
-  int devexPivots = 0;
-  /// Presolve reductions summed over the ILP solves' LP calls (equal to
-  /// the sums over setRecords): constraint rows removed, variables
-  /// fixed at an exact value, variables substituted out through
-  /// singleton equalities, and fixpoint propagation rounds.
-  int presolveRowsRemoved = 0;
-  int presolveColsFixed = 0;
-  int presolveSubstitutions = 0;
-  int presolveRounds = 0;
 };
 
 struct BlockCountRow {
@@ -268,21 +248,9 @@ struct IlpSolveRecord {
   bool feasible = false;
   /// Rounded objective (cycles); valid when feasible.
   std::int64_t objective = 0;
-  int nodes = 0;    ///< Branch-and-bound nodes expanded.
-  int lpCalls = 0;  ///< LP relaxations solved.
-  int pivots = 0;   ///< Simplex pivots across those relaxations.
   bool firstRelaxationIntegral = false;
-  /// Objective recomputations promoted to __int128 in this solve.
-  int checkedPromotions = 0;
-  /// LP calls that re-ran under Bland's rule in this solve.
-  int blandRestarts = 0;
-  /// Devex pivots in this solve (included in `pivots`).
-  int devexPivots = 0;
-  /// Presolve reductions summed over this solve's LP calls.
-  int presolveRowsRemoved = 0;
-  int presolveColsFixed = 0;
-  int presolveSubstitutions = 0;
-  int presolveRounds = 0;
+  /// ilp::IlpSolution::stats of this solve.
+  lp::SolverCounters counters;
   /// This side finished without an exact optimum and contributed
   /// `fallbackBound` (a sound relaxation/structural bound) instead.
   bool degraded = false;
@@ -327,9 +295,9 @@ struct Estimate {
   /// Estimated bound [t_min, t_max] in cycles.
   Interval bound;
   SolveStats stats;
-  /// One record per constraint set, in set-index order.  The aggregate
-  /// counters (ilpSolves, lpCalls, nodesExpanded, totalPivots,
-  /// prunedNullSets) of `stats` are exactly the sums over these records.
+  /// One record per constraint set, in set-index order.  ilpSolves,
+  /// prunedNullSets and every solver counter of `stats` are exactly the
+  /// sums over these records.
   std::vector<SetSolveRecord> setRecords;
   /// Extreme-case block execution counts, aggregated over contexts.
   /// Empty when the corresponding side of `bound` came from a degraded

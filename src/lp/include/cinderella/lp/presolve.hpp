@@ -60,12 +60,14 @@ class Reduction {
   /// the reduced problem is just a copy and callers should solve the
   /// original directly.
   [[nodiscard]] bool effective() const {
-    return stats_.rowsRemoved > 0 || stats_.colsFixed > 0 ||
-           stats_.substitutions > 0;
+    return counters_.presolveRowsRemoved > 0 ||
+           counters_.presolveColsFixed > 0 ||
+           counters_.presolveSubstitutions > 0;
   }
 
   [[nodiscard]] const Problem& reduced() const { return reduced_; }
-  [[nodiscard]] const PresolveStats& stats() const { return stats_; }
+  /// What the pass removed: the presolve* counters; the rest are 0.
+  [[nodiscard]] const SolverCounters& counters() const { return counters_; }
 
   /// Maps a reduced-space solution point back to the original variable
   /// space: surviving variables copy through, fixed variables take their
@@ -86,7 +88,7 @@ class Reduction {
   };
 
   Problem reduced_;
-  PresolveStats stats_;
+  SolverCounters counters_;
   bool infeasible_ = false;
   int origVars_ = 0;
   /// Reduced var -> original var.

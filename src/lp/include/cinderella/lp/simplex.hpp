@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "cinderella/lp/counters.hpp"
 #include "cinderella/lp/problem.hpp"
 
 namespace cinderella::lp {
@@ -42,43 +43,16 @@ enum class PivotRule {
 
 [[nodiscard]] const char* pivotRuleStr(PivotRule rule);
 
-/// What the presolve reduction pass removed ahead of one solve.  All
-/// zero when presolve is disabled or found nothing to reduce.
-struct PresolveStats {
-  /// Constraint rows dropped (substituted away, forced, redundant, or
-  /// duplicates).
-  int rowsRemoved = 0;
-  /// Variables eliminated at a fixed value (lo == hi after bound
-  /// propagation, e.g. blocks pinned to 1 or forced to 0).
-  int colsFixed = 0;
-  /// Variables eliminated by singleton-equality substitution.
-  int substitutions = 0;
-  /// Fixpoint rounds the reduction pass ran before quiescing.
-  int propagationRounds = 0;
-
-  friend bool operator==(const PresolveStats&, const PresolveStats&) =
-      default;
-};
-
 struct Solution {
   SolveStatus status = SolveStatus::Infeasible;
   /// Objective value in the problem's own sense (valid when Optimal).
   double objective = 0.0;
   /// Value of every original variable (valid when Optimal).
   std::vector<double> values;
-  /// Total simplex iterations across both phases, including those of
-  /// attempts abandoned by the Dantzig/Bland retry.
-  int pivots = 0;
-  /// True when the configured rule hit maxPivots (or the
-  /// degenerate-stall guard) and the solve was re-run from scratch on a
-  /// fresh tableau under a more conservative rule (Dantzig, then
-  /// Bland).
-  bool blandRestart = false;
-  /// Pivots chosen by Devex pricing (subset of `pivots`; the rest were
-  /// Dantzig/Bland picks).
-  int devexPivots = 0;
-  /// What the presolve pass removed before the simplex ran.
-  PresolveStats presolve;
+  /// Work done: lpCalls is 1; pivots of attempts abandoned by the
+  /// Dantzig/Bland retry are included, and blandRestarts is 1 when that
+  /// retry ran; the presolve counters say what the reduction removed.
+  SolverCounters counters;
 };
 
 struct SimplexOptions {

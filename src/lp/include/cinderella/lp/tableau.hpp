@@ -29,9 +29,6 @@ class Tableau {
   [[nodiscard]] Solution run(const std::vector<double>& objective,
                              double constant);
 
-  /// Pivots chosen by Devex pricing.
-  [[nodiscard]] int devexPivots() const { return devexPivots_; }
-
  private:
   /// Column ids of a row's slack/surplus and artificial.
   [[nodiscard]] static int slackColumn(int numVars, int row) {
@@ -93,8 +90,8 @@ class Tableau {
   /// to 1.0 at every optimize() entry (a fresh reference framework) and
   /// whenever they grow past the reset threshold.
   std::vector<double> devexWeights_;
-  int pivots_ = 0;
-  int devexPivots_ = 0;
+  /// Pivots taken so far (totalPivots, devexPivots).
+  SolverCounters counters_;
 };
 
 }  // namespace cinderella::lp

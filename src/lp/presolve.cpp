@@ -165,7 +165,7 @@ Reduction Reduction::reduce(const Problem& original,
 
   auto removeRow = [&](int r) {
     rows[static_cast<std::size_t>(r)].alive = false;
-    ++out.stats_.rowsRemoved;
+    ++out.counters_.presolveRowsRemoved;
     changed = true;
   };
 
@@ -185,7 +185,7 @@ Reduction Reduction::reduce(const Problem& original,
     if (s.untouchable || s.substituted) return;
     s.fixed = true;
     s.value = val;
-    ++out.stats_.colsFixed;
+    ++out.counters_.presolveColsFixed;
     out.restores_.push_back(Restore{v, static_cast<double>(val), {}});
     changed = true;
   };
@@ -561,18 +561,18 @@ Reduction Reduction::reduce(const Problem& original,
       }
       out.restores_.push_back(std::move(restore));
       vars[static_cast<std::size_t>(pick)].substituted = true;
-      ++out.stats_.substitutions;
+      ++out.counters_.presolveSubstitutions;
       removeRow(r);
     }
   }
-  out.stats_.propagationRounds = rounds;
+  out.counters_.presolveRounds = rounds;
 
   if (aborted) {
     // Integer overflow somewhere: discard everything and report an
     // ineffective reduction so the caller solves the original problem.
     Reduction fresh;
     fresh.origVars_ = n;
-    fresh.stats_.propagationRounds = rounds;
+    fresh.counters_.presolveRounds = rounds;
     return fresh;
   }
   if (infeasible) {
@@ -601,7 +601,7 @@ Reduction Reduction::reduce(const Problem& original,
       if (!fits(rhs)) {
         Reduction fresh;
         fresh.origVars_ = n;
-            fresh.stats_.propagationRounds = rounds;
+        fresh.counters_.presolveRounds = rounds;
         return fresh;
       }
       row.rhs = static_cast<long long>(rhs);

@@ -62,19 +62,17 @@ DenseObjective maximizedObjective(const Problem& problem) {
 void reportToSink(support::MetricsSink* sink, const Solution& solution,
                   std::chrono::steady_clock::time_point solveStart) {
   if (sink == nullptr) return;
+  const SolverCounters& c = solution.counters;
   sink->add("lp.solves", 1);
-  if (solution.blandRestart) sink->add("lp.blandRestarts", 1);
-  sink->observe("lp.pivots", solution.pivots);
-  if (solution.devexPivots > 0) {
-    sink->observe("lp.devexPivots", solution.devexPivots);
+  if (c.blandRestarts > 0) sink->add("lp.blandRestarts", 1);
+  sink->observe("lp.pivots", c.totalPivots);
+  if (c.devexPivots > 0) sink->observe("lp.devexPivots", c.devexPivots);
+  if (c.presolveRowsRemoved > 0) {
+    sink->observe("lp.presolveRowsRemoved", c.presolveRowsRemoved);
   }
-  if (solution.presolve.rowsRemoved > 0) {
-    sink->observe("lp.presolveRowsRemoved", solution.presolve.rowsRemoved);
-  }
-  if (solution.presolve.colsFixed + solution.presolve.substitutions > 0) {
+  if (c.presolveColsFixed + c.presolveSubstitutions > 0) {
     sink->observe("lp.presolveColsRemoved",
-                  solution.presolve.colsFixed +
-                      solution.presolve.substitutions);
+                  c.presolveColsFixed + c.presolveSubstitutions);
   }
   sink->observe("lp.micros",
                 std::chrono::duration_cast<std::chrono::microseconds>(
@@ -96,14 +94,15 @@ Solution solve(const Problem& problem, const SimplexOptions& options) {
   // reduction is dropped again when it removed nothing (the copy would
   // only add overhead) and short-circuits exact infeasibility.
   std::optional<Reduction> reduction;
-  PresolveStats presolveStats;
+  SolverCounters counters;
+  counters.lpCalls = 1;
   if (options.presolve) {
     Reduction r = Reduction::reduce(problem, options);
-    presolveStats = r.stats();
+    counters += r.counters();
     if (r.provedInfeasible()) {
       Solution solution;
       solution.status = SolveStatus::Infeasible;
-      solution.presolve = presolveStats;
+      solution.counters = counters;
       reportToSink(sink, solution, solveStart);
       return solution;
     }
@@ -116,7 +115,6 @@ Solution solve(const Problem& problem, const SimplexOptions& options) {
   std::optional<Tableau> tableau;
   tableau.emplace(effective, options);
   Solution solution = tableau->run(objective.coeffs, objective.constant);
-  solution.devexPivots = tableau->devexPivots();
   if (solution.status == SolveStatus::IterationLimit && options.blandRetry) {
     // The configured rule exhausted its budget or stalled on a
     // degenerate vertex.  Epsilon-step pivots through near-singular
@@ -127,15 +125,13 @@ Solution solve(const Problem& problem, const SimplexOptions& options) {
     // Only the last rung's failure is reported upward.
     for (const PivotRule retryRule : {PivotRule::Dantzig, PivotRule::Bland}) {
       if (retryRule == options.pivotRule) continue;
-      const int wastedPivots = solution.pivots;
-      const int wastedDevex = solution.devexPivots;
+      const SolverCounters wasted = solution.counters;
       SimplexOptions retryOptions = options;
       retryOptions.pivotRule = retryRule;
       tableau.emplace(effective, retryOptions);
       solution = tableau->run(objective.coeffs, objective.constant);
-      solution.pivots += wastedPivots;
-      solution.devexPivots = wastedDevex;
-      solution.blandRestart = true;
+      solution.counters += wasted;
+      solution.counters.blandRestarts = 1;
       if (solution.status != SolveStatus::IterationLimit) break;
     }
   }
@@ -143,7 +139,7 @@ Solution solve(const Problem& problem, const SimplexOptions& options) {
   if (reduction && solution.status == SolveStatus::Optimal) {
     solution.values = reduction->postsolveValues(solution.values);
   }
-  solution.presolve = presolveStats;
+  solution.counters += counters;
   if (solution.status == SolveStatus::Optimal && minimize) {
     solution.objective = -solution.objective;
   }

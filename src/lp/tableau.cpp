@@ -205,7 +205,9 @@ SolveStatus Tableau::optimize(bool allowArtificialEntering) {
   int pivotsSinceProgress = 0;
   double lastObjective = objectiveValue();
   while (true) {
-    if (pivots_ >= pivotBudget_) return SolveStatus::IterationLimit;
+    if (counters_.totalPivots >= pivotBudget_) {
+      return SolveStatus::IterationLimit;
+    }
     // Entering column per the configured rule.  Devex: largest
     // rc^2/weight (smallest index on ties).  Dantzig: most negative
     // reduced cost (smallest index on ties).  Bland: smallest-index
@@ -290,7 +292,7 @@ SolveStatus Tableau::optimize(bool allowArtificialEntering) {
             ? devexWeights_[static_cast<std::size_t>(enter)]
             : 0.0;
     pivot(leave, enter);
-    ++pivots_;
+    ++counters_.totalPivots;
     if (rule_ != PivotRule::Bland) {
       const double objectiveNow = objectiveValue();
       if (objectiveNow > lastObjective + opt_.tol) {
@@ -301,7 +303,7 @@ SolveStatus Tableau::optimize(bool allowArtificialEntering) {
       }
     }
     if (rule_ == PivotRule::Devex) {
-      ++devexPivots_;
+      ++counters_.devexPivots;
       // Reference-framework update from the pivot row.  pivot() scaled
       // the row so the entry at `enter` is exactly 1, making every
       // other entry the ratio alpha_rj / alpha_rq the update needs:
@@ -344,7 +346,7 @@ bool Tableau::evictArtificials() {
     }
     if (enter >= 0) {
       pivot(i, enter);
-      ++pivots_;
+      ++counters_.totalPivots;
     } else {
       allEvicted = false;
     }
@@ -368,13 +370,13 @@ Solution Tableau::run(const std::vector<double>& objective, double constant) {
     const SolveStatus st = optimize(/*allowArtificialEntering=*/true);
     if (st == SolveStatus::IterationLimit) {
       solution.status = st;
-      solution.pivots = pivots_;
+      solution.counters = counters_;
       return solution;
     }
     CIN_REQUIRE(st != SolveStatus::Unbounded);  // phase-1 obj is <= 0
     if (objectiveValue() < -opt_.tol) {
       solution.status = SolveStatus::Infeasible;
-      solution.pivots = pivots_;
+      solution.counters = counters_;
       return solution;
     }
     if (!evictArtificials()) {
@@ -391,7 +393,7 @@ Solution Tableau::run(const std::vector<double>& objective, double constant) {
   });
   const SolveStatus st = optimize(/*allowArtificialEntering=*/false);
   solution.status = st;
-  solution.pivots = pivots_;
+  solution.counters = counters_;
   if (st != SolveStatus::Optimal) return solution;
   if (!primalFeasibleAtTol()) {
     // The "optimum" sits outside the feasible region: pivot drift ate a

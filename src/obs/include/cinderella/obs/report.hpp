@@ -34,8 +34,11 @@ struct ReportOptions {
 /// 3 added the presolve/Devex counters (stats.devexPivots,
 /// stats.presolve*, and the per-ILP-record equivalents); 4 dropped the
 /// warm-start counters (warmStarts, coldStarts, dualPivots,
-/// warmFailures, installPivots, seedPivots).
-inline constexpr int kReportSchemaVersion = 4;
+/// warmFailures, installPivots, seedPivots); 5 writes the solver
+/// counters from lp::SolverCounters::kFields, so the per-ILP record keys
+/// `nodes`/`pivots` became `nodesExpanded`/`totalPivots` and records
+/// omit every zero counter (stats keeps all of them).
+inline constexpr int kReportSchemaVersion = 5;
 
 // Composable pieces (used by the bench JSON emitters as well as the full
 // report): each writes one JSON value at the writer's current position.

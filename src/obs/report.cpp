@@ -20,6 +20,21 @@ void boundToJson(JsonWriter* w, const ipet::Interval& bound) {
       .endObject();
 }
 
+namespace {
+
+/// Writes every solver counter as a key of the open object, in kFields
+/// order; `omitZero` drops the zero ones (the per-record rule).
+void countersToJson(JsonWriter* w, const lp::SolverCounters& counters,
+                    bool omitZero) {
+  for (const auto& field : lp::SolverCounters::kFields) {
+    const int value = counters.*field.member;
+    if (omitZero && value == 0) continue;
+    w->key(field.name).value(value);
+  }
+}
+
+}  // namespace
+
 void statsToJson(JsonWriter* w, const ipet::SolveStats& stats) {
   w->beginObject()
       .key("constraintSets")
@@ -27,14 +42,9 @@ void statsToJson(JsonWriter* w, const ipet::SolveStats& stats) {
       .key("prunedNullSets")
       .value(stats.prunedNullSets)
       .key("ilpSolves")
-      .value(stats.ilpSolves)
-      .key("lpCalls")
-      .value(stats.lpCalls)
-      .key("nodesExpanded")
-      .value(stats.nodesExpanded)
-      .key("totalPivots")
-      .value(stats.totalPivots)
-      .key("allFirstRelaxationsIntegral")
+      .value(stats.ilpSolves);
+  countersToJson(w, stats, /*omitZero=*/false);
+  w->key("allFirstRelaxationsIntegral")
       .value(stats.allFirstRelaxationsIntegral)
       .key("cacheFlowVars")
       .value(stats.cacheFlowVars)
@@ -46,24 +56,10 @@ void statsToJson(JsonWriter* w, const ipet::SolveStats& stats) {
       .value(stats.structuralSets)
       .key("failedSets")
       .value(stats.failedSets)
-      .key("checkedPromotions")
-      .value(stats.checkedPromotions)
-      .key("blandRestarts")
-      .value(stats.blandRestarts)
       .key("dedupedSets")
       .value(stats.dedupedSets)
       .key("dominatedSets")
       .value(stats.dominatedSets)
-      .key("devexPivots")
-      .value(stats.devexPivots)
-      .key("presolveRowsRemoved")
-      .value(stats.presolveRowsRemoved)
-      .key("presolveColsFixed")
-      .value(stats.presolveColsFixed)
-      .key("presolveSubstitutions")
-      .value(stats.presolveSubstitutions)
-      .key("presolveRounds")
-      .value(stats.presolveRounds)
       .endObject();
 }
 
@@ -77,39 +73,13 @@ void ilpRecordToJson(JsonWriter* w, const ipet::IlpSolveRecord& record,
       .key("feasible")
       .value(record.feasible)
       .key("objective")
-      .value(record.objective)
-      .key("nodes")
-      .value(record.nodes)
-      .key("lpCalls")
-      .value(record.lpCalls)
-      .key("pivots")
-      .value(record.pivots)
-      .key("firstRelaxationIntegral")
+      .value(record.objective);
+  countersToJson(w, record.counters, /*omitZero=*/true);
+  w->key("firstRelaxationIntegral")
       .value(record.firstRelaxationIntegral)
       .key("degraded")
       .value(record.degraded);
   if (record.degraded) w->key("fallbackBound").value(record.fallbackBound);
-  if (record.checkedPromotions != 0) {
-    w->key("checkedPromotions").value(record.checkedPromotions);
-  }
-  if (record.blandRestarts != 0) {
-    w->key("blandRestarts").value(record.blandRestarts);
-  }
-  if (record.devexPivots != 0) {
-    w->key("devexPivots").value(record.devexPivots);
-  }
-  if (record.presolveRowsRemoved != 0) {
-    w->key("presolveRowsRemoved").value(record.presolveRowsRemoved);
-  }
-  if (record.presolveColsFixed != 0) {
-    w->key("presolveColsFixed").value(record.presolveColsFixed);
-  }
-  if (record.presolveSubstitutions != 0) {
-    w->key("presolveSubstitutions").value(record.presolveSubstitutions);
-  }
-  if (record.presolveRounds != 0) {
-    w->key("presolveRounds").value(record.presolveRounds);
-  }
   if (options.includeTimings) w->key("wallMicros").value(record.wallMicros);
   w->endObject();
 }
@@ -219,12 +189,7 @@ std::string formatSolveTable(const ipet::Estimate& estimate) {
     if (rec.sharedWith >= 0 && !rec.pruned) {
       probe = (rec.dominated ? "<" : "=") + std::to_string(rec.sharedWith);
     }
-    const int psRows =
-        rec.worst.presolveRowsRemoved + rec.best.presolveRowsRemoved;
-    const int psCols = rec.worst.presolveColsFixed +
-                       rec.worst.presolveSubstitutions +
-                       rec.best.presolveColsFixed +
-                       rec.best.presolveSubstitutions;
+    const lp::SolverCounters work = rec.worst.counters + rec.best.counters;
     grid.push_back(
         {std::to_string(rec.setIndex), std::to_string(rec.userConstraints),
          probe,
@@ -232,10 +197,10 @@ std::string formatSolveTable(const ipet::Estimate& estimate) {
              ? "-"
              : ipet::setVerdictStr(rec.verdict),
          objective(rec.worst), objective(rec.best),
-         std::to_string(rec.worst.lpCalls + rec.best.lpCalls),
-         std::to_string(rec.worst.nodes + rec.best.nodes),
-         std::to_string(rec.worst.pivots + rec.best.pivots),
-         std::to_string(psRows), std::to_string(psCols),
+         std::to_string(work.lpCalls), std::to_string(work.nodesExpanded),
+         std::to_string(work.totalPivots),
+         std::to_string(work.presolveRowsRemoved),
+         std::to_string(work.presolveColsFixed + work.presolveSubstitutions),
          std::to_string(rec.wallMicros)});
   }
   std::vector<std::size_t> width(grid.front().size(), 0);

@@ -556,21 +556,20 @@ int runTool(const ToolOptions& options, std::ostream& out,
             << " constraint set(s), solved in " << result.solveMicros
             << " us originally)\n";
       } else {
+        const lp::SolverCounters& work = estimate.stats;
         out << "constraint sets: " << estimate.stats.constraintSets << " ("
             << estimate.stats.prunedNullSets << " null, pruned); ILP solves: "
-            << estimate.stats.ilpSolves
-            << "; LP calls: " << estimate.stats.lpCalls
+            << estimate.stats.ilpSolves << "; LP calls: " << work.lpCalls
             << "; first relaxation integral: "
             << (estimate.stats.allFirstRelaxationsIntegral ? "yes" : "no")
             << "\n";
-        if (estimate.stats.presolveRowsRemoved +
-                estimate.stats.presolveColsFixed +
-                estimate.stats.presolveSubstitutions !=
+        if (work.presolveRowsRemoved + work.presolveColsFixed +
+                work.presolveSubstitutions !=
             0) {
-          out << "presolve: " << estimate.stats.presolveRowsRemoved
-              << " row(s) removed, " << estimate.stats.presolveColsFixed
-              << " var(s) fixed, " << estimate.stats.presolveSubstitutions
-              << " substituted across " << estimate.stats.lpCalls
+          out << "presolve: " << work.presolveRowsRemoved
+              << " row(s) removed, " << work.presolveColsFixed
+              << " var(s) fixed, " << work.presolveSubstitutions
+              << " substituted across " << work.lpCalls
               << " LP call(s)\n";
         }
       }

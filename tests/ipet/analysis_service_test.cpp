@@ -11,6 +11,8 @@
 #include "cinderella/codegen/codegen.hpp"
 #include "cinderella/ipet/analysis.hpp"
 #include "cinderella/ipet/analyzer.hpp"
+#include "cinderella/lp/lp_format.hpp"
+#include "cinderella/suite/suite.hpp"
 #include "cinderella/support/error.hpp"
 
 namespace cinderella::ipet {
@@ -217,6 +219,47 @@ TEST(AnalysisService, LpInputClosesTheExportLoop) {
   const AnalysisResult again = service.analyze(request);
   EXPECT_TRUE(again.cacheHit);
   EXPECT_EQ(again.estimate.bound.hi, viaLp.estimate.bound.hi);
+}
+
+TEST(AnalysisService, LpInputReportsEverySolverCounter) {
+  // The LP route must carry the whole of each ilp::solve's counters into
+  // its per-set records and totals, presolve and Devex counters included.
+  const AnalysisService service;
+  for (const suite::Benchmark& bench : suite::allBenchmarks()) {
+    SCOPED_TRACE(bench.name);
+    const auto compiled = codegen::compileSource(bench.source);
+    Analyzer analyzer(compiled, bench.rootFunction);
+    for (const auto& c : bench.constraints) {
+      analyzer.addConstraint(c.text, c.scope);
+    }
+    // The LP route rejects a null (infeasible) system, so the export's
+    // null sets are dropped before it goes in.
+    std::string lpText;
+    for (const lp::Problem& p :
+         lp::parseLpFormatAll(analyzer.exportWorstCaseIlp())) {
+      if (ilp::solve(p).status == ilp::IlpStatus::Infeasible) continue;
+      lpText += lp::toLpFormat(p);
+    }
+
+    AnalysisRequest request;
+    request.lpInput = true;
+    request.source = lpText;
+    request.cachePolicy = CachePolicy::Bypass;
+    const AnalysisResult viaLp = service.analyze(request);
+
+    const std::vector<lp::Problem> problems = lp::parseLpFormatAll(lpText);
+    ASSERT_EQ(viaLp.estimate.setRecords.size(), problems.size());
+    lp::SolverCounters sum;
+    for (std::size_t i = 0; i < problems.size(); ++i) {
+      SCOPED_TRACE(i);
+      const lp::SolverCounters own = ilp::solve(problems[i]).stats;
+      const SetSolveRecord& record = viaLp.estimate.setRecords[i];
+      EXPECT_EQ(record.worst.counters + record.best.counters, own);
+      sum += own;
+    }
+    EXPECT_EQ(static_cast<const lp::SolverCounters&>(viaLp.estimate.stats),
+              sum);
+  }
 }
 
 TEST(AnalysisService, LpInputRejectsBenchmarkAndConstraints) {

@@ -49,9 +49,9 @@ TEST(Presolve, FlowSystemShrinksAndAgreesWithRawSolve) {
   EXPECT_TRUE(r.effective());
   // The entry pin fixes x0; the flow rows substitute away at least one
   // more variable; every eliminated row leaves the reduced problem.
-  EXPECT_GE(r.stats().colsFixed, 1);
-  EXPECT_GE(r.stats().substitutions, 1);
-  EXPECT_GE(r.stats().rowsRemoved, 2);
+  EXPECT_GE(r.counters().presolveColsFixed, 1);
+  EXPECT_GE(r.counters().presolveSubstitutions, 1);
+  EXPECT_GE(r.counters().presolveRowsRemoved, 2);
   EXPECT_LT(r.reduced().constraints().size(), p.constraints().size());
 
   const Solution raw = solve(p, noPresolve());
@@ -61,8 +61,11 @@ TEST(Presolve, FlowSystemShrinksAndAgreesWithRawSolve) {
   EXPECT_DOUBLE_EQ(raw.objective, 82.0);
   EXPECT_DOUBLE_EQ(reduced.objective, 82.0);
   EXPECT_TRUE(p.isFeasiblePoint(reduced.values));
-  EXPECT_GT(reduced.presolve.rowsRemoved, 0);
-  EXPECT_EQ(raw.presolve, PresolveStats{});
+  EXPECT_GT(reduced.counters.presolveRowsRemoved, 0);
+  EXPECT_EQ(raw.counters.presolveRowsRemoved, 0);
+  EXPECT_EQ(raw.counters.presolveColsFixed, 0);
+  EXPECT_EQ(raw.counters.presolveSubstitutions, 0);
+  EXPECT_EQ(raw.counters.presolveRounds, 0);
 }
 
 TEST(Presolve, PostsolveValuesSatisfyEveryOriginalRow) {
@@ -95,7 +98,7 @@ TEST(Presolve, AllFixedProblemSolvesWithoutSimplexWork) {
   ASSERT_EQ(reduced.values.size(), 2u);
   EXPECT_DOUBLE_EQ(reduced.values[0], 1.0);
   EXPECT_DOUBLE_EQ(reduced.values[1], 4.0);
-  EXPECT_EQ(reduced.pivots, 0);
+  EXPECT_EQ(reduced.counters.totalPivots, 0);
 
   const Reduction r = Reduction::reduce(p, SimplexOptions{});
   EXPECT_TRUE(r.reduced().constraints().empty());
@@ -132,10 +135,13 @@ TEST(Presolve, DisabledOptionLeavesProblemUntouched) {
   const Problem p = diamondWithLoop();
   const Solution raw = solve(p, noPresolve());
   ASSERT_EQ(raw.status, SolveStatus::Optimal);
-  EXPECT_EQ(raw.presolve.rowsRemoved, 0);
-  EXPECT_EQ(raw.presolve.colsFixed, 0);
-  EXPECT_EQ(raw.presolve.substitutions, 0);
-  EXPECT_GT(raw.pivots, 0);
+  EXPECT_GT(raw.counters.totalPivots, 0);
+  // No presolve counter moves: only the LP call and its pivots count.
+  SolverCounters expected;
+  expected.lpCalls = 1;
+  expected.totalPivots = raw.counters.totalPivots;
+  expected.devexPivots = raw.counters.devexPivots;
+  EXPECT_EQ(raw.counters, expected);
 }
 
 }  // namespace
