@@ -31,17 +31,20 @@ const char* ilpStatusStr(IlpStatus status) {
 
 namespace {
 
-/// A node of the search tree: extra bound constraints of the form
-/// x[var] <= bound or x[var] >= bound layered onto the base problem.
-struct BoundCut {
+/// A branching decision: x[var] <= bound or x[var] >= bound.
+struct Branch {
   int var = 0;
   lp::Relation rel = lp::Relation::LessEq;
   double bound = 0.0;
 };
 
+/// A node left on the DFS stack: its parent's optimal tableau plus the
+/// bound that makes it the child.  Only the sibling waiting here is a
+/// copy; the child explored first keeps working on the parent's tableau.
 struct Node {
-  std::vector<BoundCut> cuts;
-  /// LP bound inherited from the parent (for best-first pruning).
+  lp::Tableau tableau;
+  Branch branch;
+  /// LP bound of the parent (for pruning against the incumbent).
   double parentBound = 0.0;
 };
 
@@ -61,18 +64,6 @@ std::optional<int> mostFractional(const std::vector<double>& values,
   }
   if (best < 0) return std::nullopt;
   return best;
-}
-
-/// Rewrites `work` (a copy of the base problem) to carry exactly `cuts`
-/// on top of the base rows, reusing the allocation across nodes.
-void applyCuts(lp::Problem* work, std::size_t baseRows,
-               const std::vector<BoundCut>& cuts) {
-  work->truncateConstraints(baseRows);
-  for (const auto& cut : cuts) {
-    lp::LinearExpr e;
-    e.add(cut.var, 1.0);
-    work->addConstraint(std::move(e), cut.rel, cut.bound);
-  }
 }
 
 /// True when `x` is an integer within `tol`; *out receives the rounding.
@@ -134,6 +125,14 @@ void recomputeExactObjective(const lp::Problem& problem,
 }  // namespace
 
 IlpSolution solve(const lp::Problem& problem, const IlpOptions& options) {
+  const lp::FeasibleLp region(problem, options.lpOptions);
+  IlpSolution result = solve(problem, region, options);
+  result.stats += region.presolveCounters() + region.phase1Counters();
+  return result;
+}
+
+IlpSolution solve(const lp::Problem& problem, const lp::FeasibleLp& region,
+                  const IlpOptions& options) {
   // Observability is off on the default path: one relaxed atomic load.
   support::MetricsSink* const sink = support::metricsSink();
   const auto solveStart = sink != nullptr
@@ -169,15 +168,25 @@ IlpSolution solve(const lp::Problem& problem, const IlpOptions& options) {
 
   auto better = [&](double a, double b) { return maximize ? a > b : a < b; };
 
+  // Depth-first search over live tableaus.  The root optimizes the
+  // objective on a copy of the region's phase-1 tableau; every other
+  // node appends its branch as one bound row and repairs the parent's
+  // optimal tableau with a few dual simplex pivots.  The up child is
+  // explored first, on the parent's own tableau.
+  std::optional<lp::Tableau> live;
+  Branch pending;
+  double parentBound = -worst;
   std::vector<Node> stack;
-  stack.push_back(Node{{},
-                       maximize ? std::numeric_limits<double>::infinity()
-                                : -std::numeric_limits<double>::infinity()});
-
-  lp::Problem work = problem;
-  const std::size_t baseRows = problem.constraints().size();
   bool rootNode = true;
-  while (!stack.empty()) {
+  while (true) {
+    if (!rootNode && !live) {
+      if (stack.empty()) break;
+      Node node = std::move(stack.back());
+      stack.pop_back();
+      live.emplace(std::move(node.tableau));
+      pending = node.branch;
+      parentBound = node.parentBound;
+    }
     if (result.stats.nodesExpanded >= options.maxNodes) {
       hitLimit = true;
       break;
@@ -186,79 +195,85 @@ IlpSolution solve(const lp::Problem& problem, const IlpOptions& options) {
       interrupted = true;
       break;
     }
-    Node node = std::move(stack.back());
-    stack.pop_back();
-
     // Bound: the parent's relaxation bound caps every descendant.
-    if (haveIncumbent && !better(node.parentBound, incumbentObjective)) {
+    if (haveIncumbent && !better(parentBound, incumbentObjective)) {
+      live.reset();
       continue;
     }
 
-    applyCuts(&work, baseRows, node.cuts);
-    const lp::Solution relax = lp::solve(work, options.lpOptions);
-    result.stats += relax.counters;
     ++result.stats.nodesExpanded;
-    if (rootNode && relax.status == lp::SolveStatus::Optimal) {
-      // The root relaxation bounds the ILP optimum from the relaxed
-      // side; the analyzer's degradation ladder falls back to it when
-      // the integer search cannot finish.
-      result.relaxationBound = relax.objective;
-      result.haveRelaxationBound = true;
+    lp::SolveStatus status = region.status();
+    if (!rootNode) {
+      live->addBoundCut(pending.var, pending.rel, pending.bound);
+      status = live->dualSimplex();
+      ++result.stats.lpCalls;
+      result.stats += live->takeCounters();
+    } else if (status == lp::SolveStatus::Optimal) {
+      live.emplace(region.optimize(problem.objective(), problem.sense(),
+                                   &status, &result.stats));
+    } else {
+      ++result.stats.lpCalls;  // the region already knows the answer
     }
 
-    if (relax.status == lp::SolveStatus::IterationLimit) {
+    if (status == lp::SolveStatus::IterationLimit) {
+      // A repair that ran out of budget or failed its feasibility audit
+      // ends the search; the caller falls back to the root bound.
       hitLimit = true;
       break;
     }
-    if (relax.status == lp::SolveStatus::Unbounded) {
-      // An unbounded relaxation at the root means the ILP itself is
-      // unbounded (the feasible integral points are a subset, but the
-      // recession direction is rational, so integral points also recede).
-      if (rootNode) {
-        result.status = IlpStatus::Unbounded;
-        return result;
-      }
-      // In a child the direction survives too: still unbounded.
+    if (status == lp::SolveStatus::Unbounded) {
+      // Only the root can be unbounded (a bound row never opens a
+      // direction), and then so is the ILP: the recession direction is
+      // rational, so integral points recede along it too.
       result.status = IlpStatus::Unbounded;
       return result;
     }
-    if (relax.status == lp::SolveStatus::Infeasible) {
+    if (status == lp::SolveStatus::Infeasible) {
       rootNode = false;
+      live.reset();
       continue;
     }
 
-    const auto fractional = mostFractional(relax.values, options.intTol);
+    const double objective =
+        maximize ? live->objectiveValue() : -live->objectiveValue();
+    const std::vector<double> values = live->values();
+    const auto fractional = mostFractional(values, options.intTol);
     if (rootNode) {
+      // The root relaxation bounds the ILP optimum from the relaxed
+      // side; the analyzer's degradation ladder falls back to it when
+      // the integer search cannot finish.
+      result.relaxationBound = objective;
+      result.haveRelaxationBound = true;
       result.firstRelaxationIntegral = !fractional.has_value();
       rootNode = false;
     }
 
-    if (haveIncumbent && !better(relax.objective, incumbentObjective)) {
+    if (haveIncumbent && !better(objective, incumbentObjective)) {
+      live.reset();
       continue;  // bound: relaxation no better than incumbent
     }
 
     if (!fractional) {
-      // Integral: new incumbent.
-      std::vector<double> rounded = relax.values;
-      for (double& v : rounded) v = std::round(v);
-      incumbentObjective = relax.objective;
-      incumbentValues = std::move(rounded);
+      // Integral: a new incumbent, once the original rows accept it.
+      std::vector<double> point = region.postsolve(values);
+      for (double& v : point) v = std::round(v);
+      if (!problem.isFeasiblePoint(point)) {
+        hitLimit = true;  // the tableau drifted; trust none of it
+        break;
+      }
+      incumbentObjective = objective;
+      incumbentValues = std::move(point);
       haveIncumbent = true;
+      live.reset();
       continue;
     }
 
     const int var = *fractional;
-    const double value = relax.values[static_cast<std::size_t>(var)];
-    Node down;
-    down.cuts = node.cuts;
-    down.cuts.push_back({var, lp::Relation::LessEq, std::floor(value)});
-    down.parentBound = relax.objective;
-    Node up;
-    up.cuts = std::move(node.cuts);
-    up.cuts.push_back({var, lp::Relation::GreaterEq, std::ceil(value)});
-    up.parentBound = relax.objective;
-    stack.push_back(std::move(down));
-    stack.push_back(std::move(up));
+    const double value = values[static_cast<std::size_t>(var)];
+    stack.push_back(Node{*live, {var, lp::Relation::LessEq, std::floor(value)},
+                         objective});
+    pending = {var, lp::Relation::GreaterEq, std::ceil(value)};
+    parentBound = objective;
   }
 
   if (haveIncumbent) {

@@ -1,6 +1,11 @@
 // Pure integer linear programming by branch-and-bound over the LP
 // relaxation, as used by the paper's ILP step.
 //
+// The search is a depth-first dive over live simplex tableaus: the root
+// reprices a copy of an lp::FeasibleLp's phase-1 tableau, and each
+// branch appends one bound row that the dual simplex repairs in place
+// (see feasible_lp.hpp and tableau.hpp).
+//
 // The solver is instrumented: it records how many LP relaxations were
 // solved and whether the *first* relaxation already produced an integral
 // point.  Section III-D of the paper observes that for IPET constraint
@@ -12,6 +17,7 @@
 #include <functional>
 #include <vector>
 
+#include "cinderella/lp/feasible_lp.hpp"
 #include "cinderella/lp/problem.hpp"
 #include "cinderella/lp/simplex.hpp"
 
@@ -64,8 +70,17 @@ struct IlpOptions {
 };
 
 /// Solves `problem` with every variable required to be a nonnegative
-/// integer.
+/// integer.  stats include the presolve and phase-1 work.
 [[nodiscard]] IlpSolution solve(const lp::Problem& problem,
                                 const IlpOptions& options = {});
+
+/// The same search over `region`, which must have been built from
+/// `problem`'s rows: the root optimizes `problem`'s objective on a copy
+/// of the region's feasible tableau, so presolve and phase 1 are not
+/// repeated, and stats leave the region's own counters out.  lpCalls
+/// counts the root plus one per dual repair, so it equals nodesExpanded.
+[[nodiscard]] IlpSolution solve(const lp::Problem& problem,
+                                const lp::FeasibleLp& region,
+                                const IlpOptions& options);
 
 }  // namespace cinderella::ilp

@@ -9,11 +9,14 @@
 #include <limits>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <sstream>
+#include <utility>
 
 #include "cinderella/cfg/callgraph.hpp"
 #include "cinderella/ipet/formula.hpp"
+#include "cinderella/lp/feasible_lp.hpp"
 #include "cinderella/lp/lp_format.hpp"
 #include "cinderella/cfg/dominators.hpp"
 #include "cinderella/obs/trace.hpp"
@@ -1435,28 +1438,40 @@ Estimate Analyzer::estimate(const SolveControl& control) const {
         }
       }
 
-      // Null-set pruning: a cheap LP feasibility probe (paper III-D).
-      if (!options_.disableNullSetPruning) {
+      // One set LP shared by the probe, worst and best: presolve and
+      // phase 1 run once, and each ILP reprices a copy of the feasible
+      // tableau.  Any exception while it is in use discards it, so a
+      // later side rebuilds it rather than starting from a half-pivoted
+      // tableau.  Its presolve counters are charged, once, to the first
+      // ILP that uses it; its phase-1 pivots are the probe's.
+      std::optional<lp::FeasibleLp> region;
+      lp::SolverCounters unchargedPresolve;
+      auto buildRegion = [&] {
+        region.emplace(p, ilpOptions.lpOptions);
+        rec.probePivots += region->phase1Counters().totalPivots;
+        unchargedPresolve = region->presolveCounters();
+      };
+
+      // Null-set pruning: phase 1 is the LP feasibility probe (paper
+      // III-D).
+      {
         obs::Span probeSpan(tracer, "lp-probe", "solve");
         probeSpan.arg("set", static_cast<int>(index));
         const auto probeStart = std::chrono::steady_clock::now();
         try {
-          lp::Problem probe = p;
-          probe.setObjective(lp::LinearExpr{}, lp::Sense::Maximize);
-          const lp::Solution sol = lp::solve(probe, ilpOptions.lpOptions);
-          rec.probePivots = sol.counters.totalPivots;
+          buildRegion();
           rec.probeMicros = microsSince(probeStart);
-          const bool null = (sol.status == lp::SolveStatus::Infeasible);
-          probeSpan.arg("pivots", sol.counters.totalPivots)
+          const bool null = region->status() == lp::SolveStatus::Infeasible;
+          probeSpan.arg("pivots", rec.probePivots)
               .arg("verdict", std::string(null ? "null" : "feasible"));
-          if (null) {
+          if (null && !options_.disableNullSetPruning) {
             rec.pruned = true;
             setSpan.arg("verdict", std::string("pruned"));
             rec.wallMicros = microsSince(setStart);
             return;
           }
         } catch (const InjectedFaultError& e) {
-          // Pruning is only an optimization; fall through to the ILPs.
+          // Pruning is only an optimization; the ILPs rebuild the set LP.
           rec.probeMicros = microsSince(probeStart);
           noteIssue(out, ErrorCode::InjectedFault, "probe", e.what());
           probeSpan.arg("verdict", std::string("faulted"));
@@ -1473,7 +1488,9 @@ Estimate Analyzer::estimate(const SolveControl& control) const {
         obs::Span ilpSpan(tracer, spanName, "solve");
         ilpSpan.arg("set", static_cast<int>(index));
         const auto ilpStart = std::chrono::steady_clock::now();
-        ilp::IlpSolution solution = ilp::solve(problem, ilpOptions);
+        if (!region) buildRegion();
+        ilp::IlpSolution solution = ilp::solve(problem, *region, ilpOptions);
+        solution.stats += std::exchange(unchargedPresolve, {});
         slot->solved = true;
         slot->feasible = (solution.status == ilp::IlpStatus::Optimal);
         slot->firstRelaxationIntegral = solution.firstRelaxationIntegral;
@@ -1598,9 +1615,11 @@ Estimate Analyzer::estimate(const SolveControl& control) const {
         }
         settleSide(worst, &rec.worst, /*worstSide=*/true, "ilp-worst");
       } catch (const InjectedFaultError& e) {
+        region.reset();
         noteIssue(out, ErrorCode::InjectedFault, "ilp-worst", e.what());
         relaxFromOwnLp(p, /*worstSide=*/true);
       } catch (const SolverError& e) {
+        region.reset();
         noteIssue(out, ErrorCode::Internal, "ilp-worst", e.what());
         relaxFromOwnLp(p, /*worstSide=*/true);
       }
@@ -1611,9 +1630,11 @@ Estimate Analyzer::estimate(const SolveControl& control) const {
         ilp::IlpSolution best = runIlp(p, "ilp-best", &rec.best);
         settleSide(best, &rec.best, /*worstSide=*/false, "ilp-best");
       } catch (const InjectedFaultError& e) {
+        region.reset();
         noteIssue(out, ErrorCode::InjectedFault, "ilp-best", e.what());
         relaxFromOwnLp(p, /*worstSide=*/false);
       } catch (const SolverError& e) {
+        region.reset();
         noteIssue(out, ErrorCode::Internal, "ilp-best", e.what());
         relaxFromOwnLp(p, /*worstSide=*/false);
       }

@@ -157,7 +157,9 @@ struct Interval {
 
 /// Estimate totals.  The inherited solver counters are summed over the
 /// ILP solves only (not probes or fallback LPs), so they equal the sums
-/// over the solved IlpSolveRecords.  `==` on two SolveStats is the
+/// over the solved IlpSolveRecords.  Each set's presolve counters are
+/// counted once, on the first ILP that used its set LP (normally the
+/// worst side); its phase-1 pivots are the probe's, not the ILPs'.  `==` on two SolveStats is the
 /// inherited one and compares those counters only.
 struct SolveStats : lp::SolverCounters {
   /// Constraint sets after DNF combination (paper Table I "Sets").
@@ -275,7 +277,9 @@ struct SetSolveRecord {
   bool dominated = false;
   /// True when the LP probe proved the set null; worst/best never ran.
   bool pruned = false;
-  int probePivots = 0;            ///< Pivots of the feasibility probe.
+  /// Phase-1 pivots of the set LP (the feasibility probe), including
+  /// any rebuild after a fault discarded it.
+  int probePivots = 0;
   std::int64_t probeMicros = 0;   ///< Probe wall µs (not deterministic).
   /// Where this set landed on the degradation ladder.
   SetVerdict verdict = SetVerdict::Exact;

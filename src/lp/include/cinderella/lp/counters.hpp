@@ -12,21 +12,24 @@
 namespace cinderella::lp {
 
 struct SolverCounters {
-  /// LP relaxations solved (one per lp::solve call).
+  /// LPs solved: one per objective optimized from a feasible basis
+  /// (each lp::solve, each branch-and-bound root) plus one per dual
+  /// repair of a branch-and-bound node.  Phase 1 counts none.
   int lpCalls = 0;
   /// Branch-and-bound nodes expanded: the quantity IlpOptions::maxNodes
   /// budgets.  Counted by ilp::solve, never by lp::solve, so node and
   /// LP-call accounting cannot drift apart if a node ever solves more
   /// (or fewer) than one LP.
   int nodesExpanded = 0;
-  /// Simplex pivots across both phases, including those of attempts
-  /// abandoned by the Dantzig/Bland retry.
+  /// Simplex pivots (primal and dual), including those of attempts
+  /// abandoned by the Dantzig/Bland retry.  Where a phase 1 is shared
+  /// (the analyzer's set LP), its pivots are counted once, apart.
   int totalPivots = 0;
   /// Pivots chosen by Devex pricing (a subset of totalPivots; the rest
   /// were Dantzig/Bland picks).
   int devexPivots = 0;
-  /// LP solves re-run from scratch under a more conservative pivot rule
-  /// after the configured rule hit the pivot budget or stalled.
+  /// Simplex phases re-run under a more conservative pivot rule after
+  /// the configured rule hit the pivot budget or stalled.
   int blandRestarts = 0;
   /// Incumbent-objective recomputations whose 64-bit fast path
   /// overflowed and were redone in __int128 (see checked_math.hpp).

@@ -69,6 +69,13 @@ class Reduction {
   /// What the pass removed: the presolve* counters; the rest are 0.
   [[nodiscard]] const SolverCounters& counters() const { return counters_; }
 
+  /// Rewrites an objective over the original variables as the
+  /// equivalent objective over the reduced ones (eliminated variables
+  /// folded into the surviving coefficients and the constant).  The
+  /// reduction never reads the objective, so one reduction serves any
+  /// number of objectives; reduced() carries the original's, mapped.
+  [[nodiscard]] LinearExpr mapObjective(const LinearExpr& objective) const;
+
   /// Maps a reduced-space solution point back to the original variable
   /// space: surviving variables copy through, fixed variables take their
   /// fixed value, substituted variables are recomputed from their

@@ -6,14 +6,17 @@
 // columns by reduced cost scaled against an approximate steepest-edge
 // weight — on degenerate flow problems it takes far fewer pivots than
 // pure Dantzig while costing the same per-iteration scan.  When the
-// first-attempt rule hits its pivot budget or stalls, the solve is
-// re-run from scratch under Dantzig, then Bland; only if Bland also
-// fails does the caller see IterationLimit.
+// first-attempt rule hits its pivot budget or stalls, that phase is
+// re-run from a clean start under Dantzig, then Bland; only if Bland
+// also fails does the caller see IterationLimit.
 //
-// Presolve: when SimplexOptions::presolve is set, each solve first runs
-// the lp::Reduction fixpoint pass (see presolve.hpp) and the simplex
-// only ever sees the reduced rows; solutions are mapped back to the
-// original space, so callers observe identical results.
+// Presolve: when SimplexOptions::presolve is set, the lp::Reduction
+// fixpoint pass (see presolve.hpp) runs first and the simplex only ever
+// sees the reduced rows; solutions are mapped back to the original
+// space, so callers observe identical results.
+//
+// solve() is a one-shot wrapper over lp::FeasibleLp (feasible_lp.hpp):
+// presolve and phase 1 once, then phase 2 for the problem's objective.
 #pragma once
 
 #include <string>
@@ -49,14 +52,17 @@ struct Solution {
   double objective = 0.0;
   /// Value of every original variable (valid when Optimal).
   std::vector<double> values;
-  /// Work done: lpCalls is 1; pivots of attempts abandoned by the
-  /// Dantzig/Bland retry are included, and blandRestarts is 1 when that
-  /// retry ran; the presolve counters say what the reduction removed.
+  /// Work done: lpCalls is 1; pivots of both phases and of attempts
+  /// abandoned by the Dantzig/Bland retry are included, and
+  /// blandRestarts counts the phases that retry re-ran; the presolve
+  /// counters say what the reduction removed.
   SolverCounters counters;
 };
 
 struct SimplexOptions {
-  /// Hard cap on pivots across both phases; exceeded => IterationLimit.
+  /// Hard cap on the pivots of one simplex run (a phase 1, one
+  /// objective's phase 2, or one dual repair); exceeded =>
+  /// IterationLimit.
   int maxPivots = 200000;
   /// Pivot-element magnitude below which a column is treated as zero.
   double pivotTol = 1e-9;
@@ -65,10 +71,12 @@ struct SimplexOptions {
   /// Entering-column rule for the first attempt.
   PivotRule pivotRule = PivotRule::Devex;
   /// On IterationLimit (budget exhausted or the degenerate-stall guard
-  /// tripped), re-solve from scratch under progressively more
-  /// conservative rules — Dantzig, then Bland, which cannot cycle.
-  /// Cycling/stalling is the usual culprit and a fresh tableau carries
-  /// none of the numeric drift the stalled one accumulated.
+  /// tripped) in phase 1 or a root phase 2, re-run that phase from a
+  /// clean start under progressively more conservative rules —
+  /// Dantzig, then Bland, which cannot cycle.  Cycling/stalling is the
+  /// usual culprit and a clean start carries none of the numeric drift
+  /// the stalled tableau accumulated.  Dual repairs have no ladder: a
+  /// failed repair ends the branch-and-bound search as Limit.
   bool blandRetry = true;
   /// Run the lp::Reduction presolve pass before the simplex and map the
   /// solution back afterwards.  Results are identical either way;

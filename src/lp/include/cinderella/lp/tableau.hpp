@@ -1,5 +1,5 @@
 // Sparse-row simplex tableau in standard form for the two-phase primal
-// simplex.
+// simplex and the dual simplex that repairs it after a bound cut.
 //
 // Rows are kept as sorted (column, value) entry lists — IPET constraint
 // matrices are flow matrices with a handful of nonzeros per row, so the
@@ -8,8 +8,13 @@
 // scan reads all of it anyway.
 //
 // Column ids: original variable v is column v, the slack/surplus of
-// row r is column numVars + 2r, the artificial of row r is column
-// numVars + 2r + 1.
+// problem row r is column numVars + 2r, its artificial column
+// numVars + 2r + 1.  A bound cut appended later takes the next free
+// pair, so slacks stay at even offsets and artificials at odd ones even
+// after phase 1 has dropped redundant rows.
+//
+// A tableau is a value: branch-and-bound copies the one it leaves on
+// its stack, and the set LP copies its phase-1 tableau per objective.
 #pragma once
 
 #include <vector>
@@ -23,11 +28,47 @@ class Tableau {
  public:
   Tableau(const Problem& problem, const SimplexOptions& options);
 
-  /// Cold two-phase solve: phase 1 drives artificials to zero (when any
-  /// exist), phase 2 optimizes `objective` (dense over the original
-  /// variables, maximization) plus `constant`.
-  [[nodiscard]] Solution run(const std::vector<double>& objective,
-                             double constant);
+  /// Phase 1: drives every artificial to zero, then pivots the
+  /// artificials out of the basis and deletes them (a row whose
+  /// artificial cannot leave is redundant and is dropped), so the
+  /// tableau holds a feasible basis over real columns only.  Returns
+  /// Optimal (feasible), Infeasible, or IterationLimit when the budget
+  /// or stall guard trips or the basis fails the primal-feasibility
+  /// audit.
+  [[nodiscard]] SolveStatus phase1();
+
+  /// Phase 2 from the current feasible basis: installs `objective`
+  /// (dense over the original variables, maximization) plus `constant`
+  /// and optimizes it.  An optimum that fails the primal-feasibility
+  /// audit reports IterationLimit.
+  [[nodiscard]] SolveStatus optimize(const std::vector<double>& objective,
+                                     double constant);
+
+  /// Appends the row `x[var] <= bound` (LessEq) or `x[var] >= bound`
+  /// (GreaterEq) with its slack basic, eliminated against x[var]'s basic
+  /// row.  The basis stays dual feasible; the new row's rhs is negative
+  /// when the current point violates the bound.
+  void addBoundCut(int var, Relation rel, double bound);
+
+  /// Dual simplex repair after addBoundCut: restores primal feasibility
+  /// from a dual-feasible basis, then lets phase 2 clean up any reduced
+  /// cost drift.  Returns Optimal, Infeasible, or IterationLimit when
+  /// the pivot budget or stall guard trips or the repaired point fails
+  /// the primal-feasibility audit.
+  [[nodiscard]] SolveStatus dualSimplex();
+
+  /// Entering-column rule for later runs (the solver's retry ladder).
+  void setPivotRule(PivotRule rule) { rule_ = rule; }
+
+  /// Current objective value (maximization form, constant included).
+  [[nodiscard]] double objectiveValue() const {
+    return objRhs_ + objConstant_;
+  }
+  /// Value of every original variable at the current basis.
+  [[nodiscard]] std::vector<double> values() const;
+  /// Pivots taken since the last call (totalPivots, devexPivots);
+  /// resets them.
+  [[nodiscard]] SolverCounters takeCounters();
 
  private:
   /// Column ids of a row's slack/surplus and artificial.
@@ -54,22 +95,25 @@ class Tableau {
   void subtractScaled(SparseRow* dst, double factor, const SparseRow& src,
                       int eliminateCol);
 
+  /// Copies column `col` of every row into column_, so the ratio tests
+  /// and pivot() read it without searching each row again.
+  void gatherColumn(int col);
+  /// Pivots on (row, col); column_ must hold column `col`.
   void pivot(int row, int col);
   /// Installs the objective row for `coeff(col)` and prices out the
   /// current basis so reduced costs are consistent.
   template <typename CoeffFn>
   void setObjectiveRow(CoeffFn coeff);
-  [[nodiscard]] double objectiveValue() const { return objRhs_; }
 
-  [[nodiscard]] SolveStatus optimize(bool allowArtificialEntering);
+  [[nodiscard]] SolveStatus runPrimal(bool allowArtificialEntering);
   /// Audit after a claimed-Optimal solve: true when every basic value is
   /// nonnegative within a scale-aware tolerance.  Accumulated pivot
   /// drift can push a row's rhs genuinely negative (an ignored
-  /// constraint); callers treat a failed audit as IterationLimit so the
-  /// solver re-solves on a fresh tableau under Bland's rule.
+  /// constraint); callers treat a failed audit as IterationLimit.
   [[nodiscard]] bool primalFeasibleAtTol() const;
-  bool evictArtificials();
-  void fillSolutionValues(Solution* solution) const;
+  void evictArtificials();
+  /// Drops rows still basic in an artificial and every artificial column.
+  void dropArtificials();
 
   SimplexOptions opt_;
   PivotRule rule_ = PivotRule::Dantzig;
@@ -81,16 +125,19 @@ class Tableau {
   std::vector<double> rhs_;
   std::vector<double> obj_;
   double objRhs_ = 0.0;
+  double objConstant_ = 0.0;
   /// Which stable column ids actually exist in this tableau (a LessEq
   /// row has no artificial, an Equal row has no slack).
   std::vector<unsigned char> colExists_;
   std::vector<int> basis_;
   SparseRow scratch_;
+  /// Dense copy of the entering column (see gatherColumn).
+  std::vector<double> column_;
   /// Devex reference-framework weights, one per column; reinitialized
-  /// to 1.0 at every optimize() entry (a fresh reference framework) and
+  /// to 1.0 at every runPrimal() entry (a fresh reference framework) and
   /// whenever they grow past the reset threshold.
   std::vector<double> devexWeights_;
-  /// Pivots taken so far (totalPivots, devexPivots).
+  /// Pivots since the last takeCounters() (totalPivots, devexPivots).
   SolverCounters counters_;
 };
 

@@ -151,14 +151,6 @@ Reduction Reduction::reduce(const Problem& original,
     }
   }
 
-  // Working objective (doubles: the objective never participates in
-  // exact inference, it is only rewritten alongside the rows).
-  std::vector<double> obj(static_cast<std::size_t>(n), 0.0);
-  for (const Term& t : original.objective().terms()) {
-    if (t.var >= 0 && t.var < n) obj[static_cast<std::size_t>(t.var)] += t.coeff;
-  }
-  double objConst = original.objective().constant();
-
   bool infeasible = false;
   bool aborted = false;  // integer overflow: bail out, solve unreduced
   bool changed = false;
@@ -495,8 +487,7 @@ Reduction Reduction::reduce(const Problem& original,
         break;
       }
 
-      // Commit: rewrite every other row, the objective, and record the
-      // restore formula v = av*rhs - sum av*a_j x_j.
+      // Commit: rewrite every other row and record the restore formula v = av*rhs - sum av*a_j x_j.
       for (int i = 0; i < m; ++i) {
         WRow& other = rows[static_cast<std::size_t>(i)];
         if (i == r || !other.alive || !integral[static_cast<std::size_t>(i)]) {
@@ -537,17 +528,6 @@ Reduction Reduction::reduce(const Problem& original,
                      merged.end());
         other.terms = std::move(merged);
         other.rhs -= f * row.rhs;
-      }
-      const double cv = obj[static_cast<std::size_t>(pick)];
-      if (cv != 0.0) {
-        for (const WTerm& t : row.terms) {
-          if (t.var == pick) continue;
-          obj[static_cast<std::size_t>(t.var)] -=
-              cv * static_cast<double>(av) * static_cast<double>(t.coeff);
-        }
-        objConst += cv * static_cast<double>(av) *
-                    static_cast<double>(row.rhs);
-        obj[static_cast<std::size_t>(pick)] = 0.0;
       }
       Restore restore;
       restore.var = pick;
@@ -619,15 +599,6 @@ Reduction Reduction::reduce(const Problem& original,
     }
   }
 
-  // Fold fixed variables into the objective once, at the end.
-  for (int v = 0; v < n; ++v) {
-    const VarState& s = vars[static_cast<std::size_t>(v)];
-    if (s.fixed && obj[static_cast<std::size_t>(v)] != 0.0) {
-      objConst +=
-          obj[static_cast<std::size_t>(v)] * static_cast<double>(s.value);
-    }
-  }
-
   // Assemble the maps and the reduced problem.
   std::vector<int> varMap(static_cast<std::size_t>(n), -1);
   for (int v = 0; v < n; ++v) {
@@ -641,15 +612,8 @@ Reduction Reduction::reduce(const Problem& original,
   for (const int v : out.reducedVars_) {
     out.reduced_.addVar(original.varName(v));
   }
-  LinearExpr reducedObj;
-  for (const int v : out.reducedVars_) {
-    const double c = obj[static_cast<std::size_t>(v)];
-    if (c != 0.0) {
-      reducedObj.add(varMap[static_cast<std::size_t>(v)], c);
-    }
-  }
-  reducedObj.addConstant(objConst);
-  out.reduced_.setObjective(std::move(reducedObj), original.sense());
+  out.reduced_.setObjective(out.mapObjective(original.objective()),
+                           original.sense());
 
   for (int r = 0; r < m; ++r) {
     const WRow& row = rows[static_cast<std::size_t>(r)];
@@ -672,6 +636,33 @@ Reduction Reduction::reduce(const Problem& original,
     }
   }
 
+  return out;
+}
+
+LinearExpr Reduction::mapObjective(const LinearExpr& objective) const {
+  std::vector<double> coeff(static_cast<std::size_t>(origVars_), 0.0);
+  for (const Term& t : objective.terms()) {
+    coeff[static_cast<std::size_t>(t.var)] += t.coeff;
+  }
+  double constant = objective.constant();
+  // Forward elimination order: a restore formula only references
+  // variables still free when it was recorded, so a later entry folds
+  // away whatever an earlier one pushed onto its variable.
+  for (const Restore& r : restores_) {
+    const double c = coeff[static_cast<std::size_t>(r.var)];
+    if (c == 0.0) continue;
+    constant += c * r.constant;
+    for (const Term& t : r.terms) {
+      coeff[static_cast<std::size_t>(t.var)] += c * t.coeff;
+    }
+    coeff[static_cast<std::size_t>(r.var)] = 0.0;
+  }
+  LinearExpr out;
+  for (std::size_t j = 0; j < reducedVars_.size(); ++j) {
+    const double c = coeff[static_cast<std::size_t>(reducedVars_[j])];
+    if (c != 0.0) out.add(static_cast<int>(j), c);
+  }
+  out.addConstant(constant);
   return out;
 }
 

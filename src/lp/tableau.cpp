@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "cinderella/support/error.hpp"
 #include "cinderella/support/fault_injector.hpp"
@@ -124,6 +125,14 @@ Tableau::Tableau(const Problem& p, const SimplexOptions& opt)
   }
 }
 
+void Tableau::gatherColumn(int col) {
+  column_.resize(static_cast<std::size_t>(m_));
+  for (int i = 0; i < m_; ++i) {
+    column_[static_cast<std::size_t>(i)] =
+        rowCoeff(rows_[static_cast<std::size_t>(i)], col);
+  }
+}
+
 void Tableau::pivot(int row, int col) {
   // Fault-injection seam: emulate a numeric breakdown mid-solve.  The
   // analyzer's degradation ladder catches this as a SolverError.
@@ -133,7 +142,7 @@ void Tableau::pivot(int row, int col) {
     }
   }
   SparseRow& pr = rows_[static_cast<std::size_t>(row)];
-  const double p = rowCoeff(pr, col);
+  const double p = column_[static_cast<std::size_t>(row)];
   CIN_REQUIRE(std::abs(p) > opt_.pivotTol);
   const double inv = 1.0 / p;
   for (Entry& e : pr) e.val *= inv;
@@ -142,10 +151,9 @@ void Tableau::pivot(int row, int col) {
 
   for (int i = 0; i < m_; ++i) {
     if (i == row) continue;
-    SparseRow& target = rows_[static_cast<std::size_t>(i)];
-    const double factor = rowCoeff(target, col);
+    const double factor = column_[static_cast<std::size_t>(i)];
     if (factor == 0.0) continue;
-    subtractScaled(&target, factor, pr, col);
+    subtractScaled(&rows_[static_cast<std::size_t>(i)], factor, pr, col);
     rhs_[static_cast<std::size_t>(i)] -=
         factor * rhs_[static_cast<std::size_t>(row)];
   }
@@ -160,6 +168,7 @@ void Tableau::pivot(int row, int col) {
   }
 
   basis_[static_cast<std::size_t>(row)] = col;
+  ++counters_.totalPivots;
 }
 
 template <typename CoeffFn>
@@ -182,11 +191,11 @@ void Tableau::setObjectiveRow(CoeffFn coeff) {
   }
 }
 
-SolveStatus Tableau::optimize(bool allowArtificialEntering) {
-  // Fresh Devex reference framework per optimize() call: every weight
-  // starts at 1 (so the first pick is plain Dantzig) and grows with the
-  // pivot-row update below, steering later picks away from columns that
-  // produced long steps through degenerate vertices.
+SolveStatus Tableau::runPrimal(bool allowArtificialEntering) {
+  // Fresh Devex reference framework per run: every weight starts at 1
+  // (so the first pick is plain Dantzig) and grows with the pivot-row
+  // update below, steering later picks away from columns that produced
+  // long steps through degenerate vertices.
   if (rule_ == PivotRule::Devex) {
     devexWeights_.assign(static_cast<std::size_t>(numCols_), 1.0);
   }
@@ -197,15 +206,16 @@ SolveStatus Tableau::optimize(bool allowArtificialEntering) {
   // Track the objective: a run of pivots with no measurable improvement
   // longer than any plausible honest degenerate stretch reports
   // IterationLimit immediately instead of burning the budget first, and
-  // the solver re-solves on a fresh tableau under the next rule of its
-  // retry ladder.  The limit scales with m so big tableaus get
-  // proportionally more slack; every wasted stall pivot is paid at full
-  // tableau-update cost, so the limit errs low.
+  // the solver re-solves under the next rule of its retry ladder.  The
+  // limit scales with m so big tableaus get proportionally more slack;
+  // every wasted stall pivot is paid at full tableau-update cost, so the
+  // limit errs low.
   const int stallLimit = std::max(500, m_);
+  int pivots = 0;
   int pivotsSinceProgress = 0;
-  double lastObjective = objectiveValue();
+  double lastObjective = objRhs_;
   while (true) {
-    if (counters_.totalPivots >= pivotBudget_) {
+    if (pivots >= pivotBudget_) {
       return SolveStatus::IterationLimit;
     }
     // Entering column per the configured rule.  Devex: largest
@@ -250,18 +260,19 @@ SolveStatus Tableau::optimize(bool allowArtificialEntering) {
     }
     if (enter < 0) return SolveStatus::Optimal;
 
-    // Ratio test, two passes.  A single pass that accepts any ratio
-    // within +/-tol of the running best lets the accepted ratio creep
-    // one tolerance upward per acceptance; pivoting on a row whose
-    // ratio exceeds the true minimum drives the minimum row's rhs
-    // negative by a_ij times the excess, which on million-scale IPET
-    // tableaus compounds into real infeasibility (a bounding cut
-    // silently ignored).  Pass 1 finds the exact minimum ratio; pass 2
-    // picks the smallest basic index (Bland anti-cycling tie-break)
-    // among rows within one tolerance of it.
+    // Ratio test, two passes over the gathered column.  A single pass
+    // that accepts any ratio within +/-tol of the running best lets the
+    // accepted ratio creep one tolerance upward per acceptance; pivoting
+    // on a row whose ratio exceeds the true minimum drives the minimum
+    // row's rhs negative by a_ij times the excess, which on
+    // million-scale IPET tableaus compounds into real infeasibility (a
+    // bounding cut silently ignored).  Pass 1 finds the exact minimum
+    // ratio; pass 2 picks the smallest basic index (Bland anti-cycling
+    // tie-break) among rows within one tolerance of it.
+    gatherColumn(enter);
     double bestRatio = std::numeric_limits<double>::infinity();
     for (int i = 0; i < m_; ++i) {
-      const double aij = rowCoeff(rows_[static_cast<std::size_t>(i)], enter);
+      const double aij = column_[static_cast<std::size_t>(i)];
       if (aij <= opt_.pivotTol) continue;
       const double ratio = rhs_[static_cast<std::size_t>(i)] / aij;
       if (ratio < bestRatio) bestRatio = ratio;
@@ -271,7 +282,7 @@ SolveStatus Tableau::optimize(bool allowArtificialEntering) {
     }
     int leave = -1;
     for (int i = 0; i < m_; ++i) {
-      const double aij = rowCoeff(rows_[static_cast<std::size_t>(i)], enter);
+      const double aij = column_[static_cast<std::size_t>(i)];
       if (aij <= opt_.pivotTol) continue;
       const double ratio = rhs_[static_cast<std::size_t>(i)] / aij;
       if (ratio <= bestRatio + opt_.tol &&
@@ -283,8 +294,8 @@ SolveStatus Tableau::optimize(bool allowArtificialEntering) {
     if (pivotsSinceProgress >= stallLimit && rule_ != PivotRule::Bland) {
       // Stalled.  Do NOT continue from this basis — epsilon-step pivots
       // through near-singular elements have been eroding it numerically
-      // the whole time — report IterationLimit so the solver rebuilds a
-      // fresh tableau under the next rule of its retry ladder.
+      // the whole time — report IterationLimit so the solver restarts
+      // under the next rule of its retry ladder.
       return SolveStatus::IterationLimit;
     }
     const double gammaQ =
@@ -292,11 +303,10 @@ SolveStatus Tableau::optimize(bool allowArtificialEntering) {
             ? devexWeights_[static_cast<std::size_t>(enter)]
             : 0.0;
     pivot(leave, enter);
-    ++counters_.totalPivots;
+    ++pivots;
     if (rule_ != PivotRule::Bland) {
-      const double objectiveNow = objectiveValue();
-      if (objectiveNow > lastObjective + opt_.tol) {
-        lastObjective = objectiveNow;
+      if (objRhs_ > lastObjective + opt_.tol) {
+        lastObjective = objRhs_;
         pivotsSinceProgress = 0;
       } else {
         ++pivotsSinceProgress;
@@ -330,8 +340,7 @@ SolveStatus Tableau::optimize(bool allowArtificialEntering) {
   }
 }
 
-bool Tableau::evictArtificials() {
-  bool allEvicted = true;
+void Tableau::evictArtificials() {
   for (int i = 0; i < m_; ++i) {
     const int b = basis_[static_cast<std::size_t>(i)];
     if (!isArtificialColumn(b)) continue;
@@ -345,68 +354,170 @@ bool Tableau::evictArtificials() {
       }
     }
     if (enter >= 0) {
+      gatherColumn(enter);
       pivot(i, enter);
-      ++counters_.totalPivots;
-    } else {
-      allEvicted = false;
     }
   }
-  return allEvicted;
 }
 
-Solution Tableau::run(const std::vector<double>& objective, double constant) {
-  Solution solution;
+void Tableau::dropArtificials() {
+  // A row whose artificial could not be pivoted out has no real
+  // coefficient above the pivot tolerance and a zero rhs: it is
+  // redundant, so it goes with its artificial.
+  int kept = 0;
+  for (int i = 0; i < m_; ++i) {
+    const auto from = static_cast<std::size_t>(i);
+    if (isArtificialColumn(basis_[from])) continue;
+    const auto to = static_cast<std::size_t>(kept++);
+    if (to != from) {
+      rows_[to] = std::move(rows_[from]);
+      rhs_[to] = rhs_[from];
+      basis_[to] = basis_[from];
+    }
+  }
+  m_ = kept;
+  rows_.resize(static_cast<std::size_t>(m_));
+  rhs_.resize(static_cast<std::size_t>(m_));
+  basis_.resize(static_cast<std::size_t>(m_));
+  for (SparseRow& row : rows_) {
+    std::erase_if(row, [&](const Entry& e) { return isArtificialColumn(e.col); });
+  }
+  for (int j = numOriginal_ + 1; j < numCols_; j += 2) {
+    colExists_[static_cast<std::size_t>(j)] = 0;
+  }
+}
 
+SolveStatus Tableau::phase1() {
   bool anyArtificial = false;
-  for (int i = 0; i < m_ && !anyArtificial; ++i) {
-    anyArtificial = colExists_[static_cast<std::size_t>(
-        artificialColumn(numOriginal_, i))] != 0;
+  for (int j = numOriginal_ + 1; j < numCols_ && !anyArtificial; j += 2) {
+    anyArtificial = colExists_[static_cast<std::size_t>(j)] != 0;
   }
-  if (anyArtificial) {
-    // Phase 1: maximize -(sum of artificials).
-    setObjectiveRow([&](int col) {
-      return isArtificialColumn(col) ? -1.0 : 0.0;
-    });
-    const SolveStatus st = optimize(/*allowArtificialEntering=*/true);
-    if (st == SolveStatus::IterationLimit) {
-      solution.status = st;
-      solution.counters = counters_;
-      return solution;
-    }
-    CIN_REQUIRE(st != SolveStatus::Unbounded);  // phase-1 obj is <= 0
-    if (objectiveValue() < -opt_.tol) {
-      solution.status = SolveStatus::Infeasible;
-      solution.counters = counters_;
-      return solution;
-    }
-    if (!evictArtificials()) {
-      // Rows whose artificial could not be pivoted out are redundant
-      // (all real coefficients zero); they can be ignored because their
-      // rhs is zero at this point.
-    }
-  }
+  if (!anyArtificial) return SolveStatus::Optimal;
+  // Maximize -(sum of artificials).
+  setObjectiveRow([&](int col) { return isArtificialColumn(col) ? -1.0 : 0.0; });
+  const SolveStatus st = runPrimal(/*allowArtificialEntering=*/true);
+  if (st == SolveStatus::IterationLimit) return st;
+  CIN_REQUIRE(st != SolveStatus::Unbounded);  // phase-1 obj is <= 0
+  if (objRhs_ < -opt_.tol) return SolveStatus::Infeasible;
+  evictArtificials();
+  dropArtificials();
+  // Every objective starts from this basis, so audit it once here: a
+  // drifted phase 1 reports IterationLimit and is redone from scratch.
+  return primalFeasibleAtTol() ? SolveStatus::Optimal
+                               : SolveStatus::IterationLimit;
+}
 
-  // Phase 2: the real objective.
+SolveStatus Tableau::optimize(const std::vector<double>& objective,
+                              double constant) {
   setObjectiveRow([&](int col) {
-    return (col < numOriginal_) ? objective[static_cast<std::size_t>(col)]
-                                : 0.0;
+    return col < numOriginal_ ? objective[static_cast<std::size_t>(col)]
+                              : 0.0;
   });
-  const SolveStatus st = optimize(/*allowArtificialEntering=*/false);
-  solution.status = st;
-  solution.counters = counters_;
-  if (st != SolveStatus::Optimal) return solution;
-  if (!primalFeasibleAtTol()) {
+  objConstant_ = constant;
+  const SolveStatus st = runPrimal(/*allowArtificialEntering=*/false);
+  if (st == SolveStatus::Optimal && !primalFeasibleAtTol()) {
     // The "optimum" sits outside the feasible region: pivot drift ate a
-    // constraint.  Report IterationLimit so the solver re-solves on a
-    // fresh tableau under Bland's rule instead of returning an unsound
-    // point.
-    solution.status = SolveStatus::IterationLimit;
-    return solution;
+    // constraint.  Report IterationLimit instead of an unsound point.
+    return SolveStatus::IterationLimit;
   }
+  return st;
+}
 
-  fillSolutionValues(&solution);
-  solution.objective = objectiveValue() + constant;
-  return solution;
+void Tableau::addBoundCut(int var, Relation rel, double bound) {
+  CIN_REQUIRE(var >= 0 && var < numOriginal_ && rel != Relation::Equal);
+  // Stored as sign*x + s = sign*bound with the slack s basic: sign = +1
+  // for x <= bound, -1 for x >= bound.
+  const double sign = rel == Relation::LessEq ? 1.0 : -1.0;
+  const int slack = numCols_;
+  numCols_ += 2;  // the pair's artificial never exists
+  obj_.resize(static_cast<std::size_t>(numCols_), 0.0);
+  colExists_.resize(static_cast<std::size_t>(numCols_), 0);
+  colExists_[static_cast<std::size_t>(slack)] = 1;
+
+  SparseRow row{Entry{var, sign}, Entry{slack, 1.0}};
+  double rhs = sign * bound;
+  for (int i = 0; i < m_; ++i) {
+    if (basis_[static_cast<std::size_t>(i)] != var) continue;
+    // x's basic row reads x + sum(a_j x_j) = rhs_i; subtracting it
+    // expresses the cut over nonbasic columns only.
+    subtractScaled(&row, sign, rows_[static_cast<std::size_t>(i)], var);
+    rhs -= sign * rhs_[static_cast<std::size_t>(i)];
+    break;
+  }
+  rows_.push_back(std::move(row));
+  rhs_.push_back(rhs);
+  basis_.push_back(slack);
+  ++m_;
+}
+
+SolveStatus Tableau::dualSimplex() {
+  // Same stall guard as runPrimal: the dual objective only falls, and a
+  // long run of pivots that leave it flat is cycling, not progress.
+  const int stallLimit = std::max(500, m_);
+  int pivots = 0;
+  int pivotsSinceProgress = 0;
+  double lastObjective = objRhs_;
+  while (true) {
+    // Leaving row: the most negative basic value (smallest row on ties).
+    int leave = -1;
+    double worst = -opt_.tol;
+    for (int i = 0; i < m_; ++i) {
+      if (rhs_[static_cast<std::size_t>(i)] < worst) {
+        worst = rhs_[static_cast<std::size_t>(i)];
+        leave = i;
+      }
+    }
+    if (leave < 0) break;
+    if (pivots >= pivotBudget_ || pivotsSinceProgress >= stallLimit) {
+      return SolveStatus::IterationLimit;
+    }
+    // Dual ratio test over the leaving row's negative entries: the
+    // smallest rc_j / |a_rj| keeps every reduced cost nonnegative.  Two
+    // passes as in the primal test: the exact minimum, then the largest
+    // |a_rj| (smallest column on ties) within one tolerance of it.
+    const SparseRow& row = rows_[static_cast<std::size_t>(leave)];
+    double bestRatio = std::numeric_limits<double>::infinity();
+    for (const Entry& e : row) {
+      if (e.val >= -opt_.pivotTol) continue;
+      const double rc = std::max(obj_[static_cast<std::size_t>(e.col)], 0.0);
+      bestRatio = std::min(bestRatio, rc / -e.val);
+    }
+    if (bestRatio == std::numeric_limits<double>::infinity()) {
+      // No column can raise this row's basic variable: the cut is
+      // infeasible against the rows it was eliminated through.
+      return SolveStatus::Infeasible;
+    }
+    int enter = -1;
+    double enterMagnitude = 0.0;
+    for (const Entry& e : row) {
+      if (e.val >= -opt_.pivotTol) continue;
+      const double rc = std::max(obj_[static_cast<std::size_t>(e.col)], 0.0);
+      if (rc / -e.val <= bestRatio + opt_.tol && -e.val > enterMagnitude) {
+        enterMagnitude = -e.val;
+        enter = e.col;
+      }
+    }
+    gatherColumn(enter);
+    pivot(leave, enter);
+    ++pivots;
+    if (objRhs_ < lastObjective - opt_.tol) {
+      lastObjective = objRhs_;
+      pivotsSinceProgress = 0;
+    } else {
+      ++pivotsSinceProgress;
+    }
+  }
+  // Primal feasible again.  Reduced costs the dual pivots left slightly
+  // negative are cleaned up by phase 2 (usually zero pivots).
+  const SolveStatus st = runPrimal(/*allowArtificialEntering=*/false);
+  if (st != SolveStatus::Optimal || !primalFeasibleAtTol()) {
+    return SolveStatus::IterationLimit;
+  }
+  return SolveStatus::Optimal;
+}
+
+SolverCounters Tableau::takeCounters() {
+  return std::exchange(counters_, SolverCounters{});
 }
 
 bool Tableau::primalFeasibleAtTol() const {
@@ -421,19 +532,19 @@ bool Tableau::primalFeasibleAtTol() const {
   return true;
 }
 
-void Tableau::fillSolutionValues(Solution* solution) const {
-  solution->values.assign(static_cast<std::size_t>(numOriginal_), 0.0);
+std::vector<double> Tableau::values() const {
+  std::vector<double> out(static_cast<std::size_t>(numOriginal_), 0.0);
   for (int i = 0; i < m_; ++i) {
     const int b = basis_[static_cast<std::size_t>(i)];
     if (b < numOriginal_) {
-      solution->values[static_cast<std::size_t>(b)] =
-          rhs_[static_cast<std::size_t>(i)];
+      out[static_cast<std::size_t>(b)] = rhs_[static_cast<std::size_t>(i)];
     }
   }
   // Clamp tiny negatives introduced by rounding.
-  for (double& v : solution->values) {
+  for (double& v : out) {
     if (v < 0 && v > -opt_.tol) v = 0;
   }
+  return out;
 }
 
 }  // namespace cinderella::lp

@@ -2,8 +2,9 @@
 // low-level solvers through the support::MetricsSink seam.
 //
 // The registry is the sink implementation obs installs while a run is
-// being observed (see ScopedMetricsSink).  lp::solve reports pivots,
-// ilp::solve reports nodes/LP calls, the thread pool reports task and
+// being observed (see ScopedMetricsSink).  lp::FeasibleLp reports the
+// pivots of each phase 1 and each objective it optimizes, ilp::solve
+// reports nodes/LP calls, the thread pool reports task and
 // steal counts; all of them go through one virtual call per *solve* (not
 // per pivot), and nothing at all when no sink is installed.
 //

@@ -309,7 +309,7 @@ struct RandomIlp {
 RandomIlp makeRandom(std::uint64_t seed) {
   Xorshift64 rng(seed);
   RandomIlp out;
-  out.numVars = static_cast<int>(rng.range(1, 3));
+  out.numVars = static_cast<int>(rng.range(1, 4));
   out.box = 6;
   Problem& p = out.problem;
   for (int v = 0; v < out.numVars; ++v) {
@@ -371,12 +371,13 @@ TEST_P(IlpBruteForceTest, MatchesExhaustiveEnumeration) {
   }
   ASSERT_EQ(s.status, IlpStatus::Optimal) << p.str();
   EXPECT_NEAR(s.objective, bestValue, 1e-6) << p.str();
-  // The reported point must itself be feasible.
+  // The reported point must itself be feasible and integral.
   EXPECT_TRUE(p.isFeasiblePoint(s.values)) << p.str();
+  for (const double v : s.values) EXPECT_EQ(v, std::round(v)) << p.str();
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomInstances, IlpBruteForceTest,
-                         ::testing::Range<std::uint64_t>(1, 61));
+                         ::testing::Range<std::uint64_t>(1, 201));
 
 }  // namespace
 }  // namespace cinderella::ilp

@@ -194,6 +194,65 @@ TEST(DegradedEstimate, ZeroRateInjectorChangesNothing) {
   EXPECT_TRUE(observed.issues.empty());
 }
 
+TEST(DegradedEstimate, ProbeFaultNeverLeaksIntoWorstOrBest) {
+  // Phase 1 of a set's shared LP is its null-set probe, and the worst
+  // and best ILPs start from copies of that tableau.  A pivot fault
+  // inside the probe leaves phase 1 half done; the ILPs must rebuild the
+  // set LP rather than price their objectives on the half-pivoted
+  // tableau.  So every set whose probe faulted either keeps the exact
+  // fault-free bounds or carries a degraded verdict: a sound bound that
+  // encloses them, or Failed when later faults took every fallback too.
+  // des under ccg: one set whose phase 1 takes a few hundred pivots.
+  const suite::Benchmark& bench = suite::benchmarkByName("des");
+  const codegen::CompileResult compiled = codegen::compileSource(bench.source);
+  ipet::AnalyzerOptions options;
+  options.cacheMode = ipet::CacheMode::ConflictGraph;
+  ipet::Analyzer analyzer(compiled, bench.rootFunction, options);
+  for (const auto& c : bench.constraints) analyzer.addConstraint(c.text, c.scope);
+  const ipet::Estimate exact = analyzer.estimate();
+  ASSERT_EQ(exact.setRecords.size(), 1u);
+  const ipet::SetSolveRecord& clean = exact.setRecords[0];
+
+  int probeFaults = 0;
+  int rebuiltExact = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE(seed);
+    FaultPlan plan;
+    plan.seed = seed;
+    plan.lpPivotRate = 0.002;
+    FaultInjector injector{plan};
+    ScopedFaultInjector install(&injector);
+    ipet::SolveControl control;
+    control.threads = 1;
+    const ipet::Estimate degraded = analyzer.estimate(control);
+
+    bool probeFaulted = false;
+    for (const ipet::SolveIssue& issue : degraded.issues) {
+      probeFaulted = probeFaulted || issue.phase == std::string("probe");
+    }
+    if (!probeFaulted) continue;
+    ++probeFaults;
+    ASSERT_EQ(degraded.setRecords.size(), 1u);
+    const ipet::SetSolveRecord& rec = degraded.setRecords[0];
+    EXPECT_FALSE(rec.pruned);
+    if (rec.verdict == ipet::SetVerdict::Exact) {
+      ++rebuiltExact;
+      EXPECT_EQ(rec.worst.objective, clean.worst.objective);
+      EXPECT_EQ(rec.best.objective, clean.best.objective);
+      EXPECT_EQ(degraded.bound, exact.bound);
+    } else if (degraded.sound()) {
+      EXPECT_TRUE(degraded.bound.encloses(exact.bound));
+    } else {
+      // Later faults also took down every fallback: flagged, not wrong.
+      EXPECT_EQ(rec.verdict, ipet::SetVerdict::Failed);
+    }
+  }
+  // The drill must hit the probe, and some of those runs must get a
+  // rebuilt set LP all the way to exact bounds.
+  EXPECT_GT(probeFaults, 0);
+  EXPECT_GT(rebuiltExact, 0);
+}
+
 TEST(DegradedEstimate, FaultedRunsReplayFromTheSeed) {
   // Same plan, single thread: two degraded runs must agree exactly —
   // the whole degradation pipeline is deterministic in the seed.

@@ -6,8 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <map>
 
+#include "cinderella/codegen/codegen.hpp"
+#include "cinderella/ipet/analyzer.hpp"
 #include "cinderella/suite/harness.hpp"
 #include "cinderella/suite/suite.hpp"
 #include "cinderella/support/error.hpp"
@@ -95,6 +98,50 @@ TEST_P(SuiteTest, ConflictGraphCacheIsSoundAndNoLooser) {
   EXPECT_LE(refined.estimated.lo, refined.measured.lo);
   // The best-case bound is cache-mode independent.
   EXPECT_EQ(refined.estimated.lo, plain.estimated.lo);
+}
+
+TEST_P(SuiteTest, PinnedBoundsAreExactInEveryCacheMode) {
+  // The exact [t_min, t_max] of every program under allmiss, firstiter
+  // and ccg (perfbench/pinned.json), with every constraint set solved to
+  // a proven integral optimum.  ccg is where branch-and-bound really
+  // branches (recon's root relaxation is fractional), so this pins the
+  // search itself, not just the first LP.
+  static const std::map<std::string, std::array<ipet::Interval, 3>> kPins{
+      {"check_data", {{{53, 1044}, {53, 532}, {53, 492}}}},
+      {"fft", {{{40559, 72261}, {40559, 51245}, {40559, 42909}}}},
+      {"piksrt", {{{449, 5884}, {449, 2900}, {449, 2324}}}},
+      {"des", {{{247184, 469941}, {247184, 267965}, {247184, 277941}}}},
+      {"line", {{{121, 11227}, {121, 4659}, {121, 4587}}}},
+      {"circle", {{{241, 10190}, {241, 5190}, {241, 5134}}}},
+      {"jpeg_fdct_islow", {{{6962, 13664}, {6962, 13664}, {6962, 13600}}}},
+      {"jpeg_idct_islow", {{{4498, 14048}, {4498, 14048}, {4498, 13928}}}},
+      {"recon", {{{10656, 62642}, {10656, 38858}, {10656, 37354}}}},
+      {"fullsearch", {{{3847071, 9499303}, {3847071, 4598583}, {3847071, 4595863}}}},
+      {"whetstone", {{{118580, 184961}, {118580, 133889}, {118580, 125417}}}},
+      {"dhry", {{{2962, 83917}, {2962, 42797}, {2962, 35785}}}},
+      {"matgen", {{{14163, 28798}, {14163, 16622}, {14163, 15390}}}},
+  };
+  const std::array<ipet::CacheMode, 3> modes{
+      ipet::CacheMode::AllMiss, ipet::CacheMode::FirstIterationSplit,
+      ipet::CacheMode::ConflictGraph};
+  const Benchmark& bench = benchmarkByName(GetParam());
+  const codegen::CompileResult compiled = codegen::compileSource(bench.source);
+  for (std::size_t m = 0; m < modes.size(); ++m) {
+    ipet::AnalyzerOptions options;
+    options.cacheMode = modes[m];
+    ipet::Analyzer analyzer(compiled, bench.rootFunction, options);
+    for (const auto& c : bench.constraints) {
+      analyzer.addConstraint(c.text, c.scope);
+    }
+    const ipet::Estimate estimate = analyzer.estimate();
+    const ipet::Interval& pin = kPins.at(bench.name)[m];
+    EXPECT_EQ(estimate.bound.lo, pin.lo) << ipet::cacheModeStr(modes[m]);
+    EXPECT_EQ(estimate.bound.hi, pin.hi) << ipet::cacheModeStr(modes[m]);
+    for (const ipet::SetSolveRecord& rec : estimate.setRecords) {
+      EXPECT_EQ(rec.verdict, ipet::SetVerdict::Exact)
+          << ipet::cacheModeStr(modes[m]) << " set " << rec.setIndex;
+    }
+  }
 }
 
 std::vector<std::string> benchmarkNames() {
