@@ -25,6 +25,7 @@ for b in "${BENCHMARKS[@]}"; do
   python3 -m json.tool "$OUT/report-$b.json" > /dev/null
   # Each solver counter in stats must equal its sum over the per-side
   # records; a record omits a zero counter (schema v5), so absent is 0.
+  # ilpSolves counts the solved sides and prunedNullSets the pruned sets.
   python3 - "$OUT/report-$b.json" <<'PY'
 import json
 import sys
@@ -38,6 +39,12 @@ for name in ("lpCalls", "nodesExpanded", "totalPivots", "devexPivots",
     if doc["stats"][name] != total:
         sys.exit(f"{sys.argv[1]}: stats.{name} = {doc['stats'][name]}, "
                  f"but the set records sum to {total}")
+for name, total in (
+        ("ilpSolves", sum(1 for side in sides if side["solved"])),
+        ("prunedNullSets", sum(1 for s in doc["sets"] if s["pruned"]))):
+    if doc["stats"][name] != total:
+        sys.exit(f"{sys.argv[1]}: stats.{name} = {doc['stats'][name]}, "
+                 f"but the set records count {total}")
 PY
   echo "validate_observability: $b ok"
 done

@@ -310,6 +310,7 @@ AnalysisResult AnalysisService::analyzeLp(
   const Clock::time_point deadlineAt = Clock::now() + control.deadline;
   ilp::IlpOptions ilpOptions;
   if (control.maxNodes > 0) ilpOptions.maxNodes = control.maxNodes;
+  ilpOptions.lpOptions.presolve = control.presolve;
   ilpOptions.interrupt = [&]() {
     if (control.cancel != nullptr &&
         control.cancel->load(std::memory_order_relaxed)) {
@@ -327,6 +328,20 @@ AnalysisResult AnalysisService::analyzeLp(
 
   for (std::size_t i = 0; i < problems.size(); ++i) {
     const lp::Problem& problem = problems[i];
+    if (std::optional<std::string> breach =
+            memoryCeilingBreach(problem, control.maxMemoryBytes)) {
+      // No structural bound stands behind an lp-format problem, so one
+      // over the ceiling fails without a solve.
+      SetSolveRecord record;
+      record.setIndex = static_cast<int>(i);
+      record.verdict = SetVerdict::Failed;
+      record.issue = ErrorCode::MemoryCeiling;
+      estimate.stats.failedSets += 1;
+      estimate.issues.push_back(
+          {record.setIndex, record.issue, "set", std::move(*breach)});
+      estimate.setRecords.push_back(std::move(record));
+      continue;
+    }
     const Clock::time_point ilpStart = Clock::now();
     const ilp::IlpSolution solution = ilp::solve(problem, ilpOptions);
     if (control.cancel != nullptr &&

@@ -507,6 +507,18 @@ std::optional<CacheMode> parseCacheMode(std::string_view text) {
   return std::nullopt;
 }
 
+std::optional<std::string> memoryCeilingBreach(const lp::Problem& problem,
+                                               std::size_t maxMemoryBytes) {
+  if (maxMemoryBytes == 0) return std::nullopt;
+  const std::size_t rows = problem.constraints().size();
+  const std::size_t cols = static_cast<std::size_t>(problem.numVars()) + rows;
+  const std::size_t estimateBytes = (rows + 1) * (cols + 1) * 16;
+  if (estimateBytes <= maxMemoryBytes) return std::nullopt;
+  return "estimated solve footprint " + std::to_string(estimateBytes) +
+         " bytes exceeds the ceiling of " + std::to_string(maxMemoryBytes) +
+         " bytes";
+}
+
 void Analyzer::applyFirstIterationSplit(BaseProblem* base) const {
   lp::Problem& p = base->problem;
   const int numSets = options_.machine.numSets();
@@ -1415,27 +1427,17 @@ Estimate Analyzer::estimate(const SolveControl& control) const {
         return;
       }
       lp::Problem p = materializeSet(base, combined[index]);
-      if (control.maxMemoryBytes > 0) {
-        // Backpressure quota: a conservative dense-tableau footprint of
-        // this set's ILP, computed before anything is allocated.  Over
-        // the ceiling the set degrades to the sound structural bound —
-        // same shape as a deadline expiry, so a hostile or runaway
-        // request can never balloon the process.
-        const std::size_t rows = p.constraints().size();
-        const std::size_t cols = static_cast<std::size_t>(p.numVars()) + rows;
-        const std::size_t estimateBytes = (rows + 1) * (cols + 1) * 16;
-        if (estimateBytes > control.maxMemoryBytes) {
-          noteIssue(out, ErrorCode::MemoryCeiling, "set",
-                    "estimated solve footprint " +
-                        std::to_string(estimateBytes) +
-                        " bytes exceeds the ceiling of " +
-                        std::to_string(control.maxMemoryBytes) + " bytes");
-          applyStructural(out, /*worstSide=*/true);
-          applyStructural(out, /*worstSide=*/false);
-          setSpan.arg("verdict", std::string(setVerdictStr(rec.verdict)));
-          rec.wallMicros = microsSince(setStart);
-          return;
-        }
+      // Over the memory ceiling the set degrades to the sound structural
+      // bound — same shape as a deadline expiry, so a hostile or runaway
+      // request can never balloon the process.
+      if (std::optional<std::string> breach =
+              memoryCeilingBreach(p, control.maxMemoryBytes)) {
+        noteIssue(out, ErrorCode::MemoryCeiling, "set", std::move(*breach));
+        applyStructural(out, /*worstSide=*/true);
+        applyStructural(out, /*worstSide=*/false);
+        setSpan.arg("verdict", std::string(setVerdictStr(rec.verdict)));
+        rec.wallMicros = microsSince(setStart);
+        return;
       }
 
       // One set LP shared by the probe, worst and best: presolve and

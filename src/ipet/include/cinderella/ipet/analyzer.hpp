@@ -118,11 +118,13 @@ struct SolveControl {
   int maxNodes = 0;
   /// Per-request memory ceiling (bytes) on any single constraint-set
   /// ILP, estimated from the materialized problem's tableau footprint
-  /// before the solve starts; 0 = unlimited.  A set over the ceiling
-  /// degrades to the sound structural bound (like a deadline expiry)
-  /// with a MemoryCeiling issue — the call never throws and never
-  /// allocates the oversized tableau.  The serving layer's
-  /// --max-request-memory-mb backpressure quota threads through here.
+  /// before the solve starts (see memoryCeilingBreach); 0 = unlimited.
+  /// A set over the ceiling degrades to the sound structural bound
+  /// (like a deadline expiry) with a MemoryCeiling issue — the call
+  /// never throws and never allocates the oversized tableau.  An
+  /// lp-format problem over it has no structural bound and fails.  The
+  /// serving layer's --max-request-memory-mb backpressure quota threads
+  /// through here.
   std::size_t maxMemoryBytes = 0;
   /// Optional cooperative cancellation: set to true from any thread to
   /// make estimate() stop early and throw AnalysisError.
@@ -144,6 +146,13 @@ struct SolveControl {
   /// returned Estimate.
   obs::Tracer* tracer = nullptr;
 };
+
+/// Backpressure quota check for one ILP: a conservative dense-tableau
+/// footprint of `problem`, computed before anything is allocated.
+/// Returns the MemoryCeiling issue detail when that footprint exceeds
+/// `maxMemoryBytes`; nullopt when it fits or there is no ceiling (0).
+[[nodiscard]] std::optional<std::string> memoryCeilingBreach(
+    const lp::Problem& problem, std::size_t maxMemoryBytes);
 
 struct Interval {
   std::int64_t lo = 0;

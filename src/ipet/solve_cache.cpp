@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "cinderella/support/io.hpp"
-#include "cinderella/support/metrics_sink.hpp"
 
 namespace cinderella::ipet {
 
@@ -102,12 +101,6 @@ struct Reader {
     return out;
   }
 };
-
-void count(std::string_view counter) {
-  if (support::MetricsSink* sink = support::metricsSink()) {
-    sink->add(counter, 1);
-  }
-}
 
 // --- Per-entry codecs, shared by snapshot sections and journal records.
 
@@ -387,11 +380,9 @@ std::optional<CachedBound> SolveCache::lookupBound(const Digest& full) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (CachedBound* entry = bounds_.find(full)) {
     ++stats_.boundHits;
-    count("solve_cache.bound_hits");
     return *entry;
   }
   ++stats_.boundMisses;
-  count("solve_cache.bound_misses");
   return std::nullopt;
 }
 
@@ -400,11 +391,9 @@ std::optional<CachedFormula> SolveCache::lookupFormula(
   std::lock_guard<std::mutex> lock(mutex_);
   if (CachedFormula* entry = formulas_.find(parametric)) {
     ++stats_.formulaHits;
-    count("solve_cache.formula_hits");
     return *entry;
   }
   ++stats_.formulaMisses;
-  count("solve_cache.formula_misses");
   return std::nullopt;
 }
 
@@ -419,10 +408,8 @@ void SolveCache::journalLocked(std::uint32_t type, std::string_view payload) {
   if (support::io::appendDurable(options_.journalPath, record,
                                  &appendError)) {
     ++stats_.journaledInserts;
-    count("solve_cache.journaled_inserts");
   } else {
     ++stats_.journalFailures;
-    count("solve_cache.journal_failures");
   }
 }
 
@@ -431,14 +418,9 @@ void SolveCache::insertFormula(const Digest& parametric, CachedFormula entry) {
   if (!enabled()) return;
   std::string payload;
   encodeFormulaEntry(&payload, parametric, entry);
-  const std::int64_t evicted =
+  stats_.evictions +=
       static_cast<std::int64_t>(formulas_.insert(parametric, std::move(entry)));
-  stats_.evictions += evicted;
   ++stats_.insertions;
-  if (support::MetricsSink* sink = support::metricsSink()) {
-    sink->add("solve_cache.insertions", 1);
-    if (evicted > 0) sink->add("solve_cache.evictions", evicted);
-  }
   journalLocked(kRecordFormula, payload);
 }
 
@@ -454,7 +436,6 @@ bool SolveCache::insert(const Digest& full, const Digest& structural,
   if (!enabled()) return false;
   if (!admissible(estimate)) {
     ++stats_.rejectedInserts;
-    count("solve_cache.rejected_inserts");
     return false;
   }
   CachedBound entry;
@@ -466,14 +447,8 @@ bool SolveCache::insert(const Digest& full, const Digest& structural,
   appendU64(&payload, structural.hi);
   appendU64(&payload, structural.lo);
   appendU32(&payload, 0);  // basis length
-  const std::int64_t evicted =
-      static_cast<std::int64_t>(bounds_.insert(full, entry));
-  stats_.evictions += evicted;
+  stats_.evictions += static_cast<std::int64_t>(bounds_.insert(full, entry));
   ++stats_.insertions;
-  if (support::MetricsSink* sink = support::metricsSink()) {
-    sink->add("solve_cache.insertions", 1);
-    if (evicted > 0) sink->add("solve_cache.evictions", evicted);
-  }
   journalLocked(kRecordBound, payload);
   return true;
 }

@@ -29,7 +29,7 @@ struct SolverCounters {
   /// were Dantzig/Bland picks).
   int devexPivots = 0;
   /// Simplex phases re-run under a more conservative pivot rule after
-  /// the configured rule hit the pivot budget or stalled.
+  /// Devex hit the pivot budget or stalled.
   int blandRestarts = 0;
   /// Incumbent-objective recomputations whose 64-bit fast path
   /// overflowed and were redone in __int128 (see checked_math.hpp).

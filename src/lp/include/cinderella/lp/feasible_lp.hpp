@@ -22,9 +22,9 @@ namespace cinderella::lp {
 class FeasibleLp {
  public:
   /// Presolves `problem`'s rows (its objective is ignored) and runs
-  /// phase 1, restarting under Dantzig then Bland when the configured
-  /// rule stalls.  Throws whatever a pivot throws; a half-built
-  /// FeasibleLp never exists.
+  /// phase 1 under Devex, restarting under Dantzig then Bland when it
+  /// stalls.  Throws whatever a pivot throws; a half-built FeasibleLp
+  /// never exists.
   FeasibleLp(const Problem& problem, const SimplexOptions& options);
 
   /// Optimal once a feasible basis is ready; Infeasible when presolve or

@@ -2,13 +2,15 @@
 // presolve/postsolve reduction pass.
 //
 // Sized for IPET workloads: hundreds of variables and constraints.  The
-// default pivot rule is Devex reference-framework pricing, which prices
+// pivot rule is Devex reference-framework pricing, which prices
 // columns by reduced cost scaled against an approximate steepest-edge
 // weight — on degenerate flow problems it takes far fewer pivots than
-// pure Dantzig while costing the same per-iteration scan.  When the
-// first-attempt rule hits its pivot budget or stalls, that phase is
-// re-run from a clean start under Dantzig, then Bland; only if Bland
-// also fails does the caller see IterationLimit.
+// pure Dantzig while costing the same per-iteration scan.  When Devex
+// hits its pivot budget or stalls in phase 1 or a root phase 2, that
+// phase is re-run from a clean start under Dantzig, then Bland; only if
+// Bland also fails does the caller see IterationLimit.  Dual repairs
+// have no ladder: a failed repair ends the branch-and-bound search as
+// Limit.
 //
 // Presolve: when SimplexOptions::presolve is set, the lp::Reduction
 // fixpoint pass (see presolve.hpp) runs first and the simplex only ever
@@ -31,7 +33,8 @@ enum class SolveStatus { Optimal, Infeasible, Unbounded, IterationLimit };
 
 [[nodiscard]] const char* solveStatusStr(SolveStatus status);
 
-/// Entering-column selection strategy.
+/// Entering-column selection strategy: Devex first, then the retry
+/// ladder's Dantzig and Bland.
 enum class PivotRule {
   /// Most negative reduced cost; fast, but may cycle on degeneracy.
   Dantzig,
@@ -43,8 +46,6 @@ enum class PivotRule {
   /// degenerate flow systems.
   Devex,
 };
-
-[[nodiscard]] const char* pivotRuleStr(PivotRule rule);
 
 struct Solution {
   SolveStatus status = SolveStatus::Infeasible;
@@ -68,16 +69,6 @@ struct SimplexOptions {
   double pivotTol = 1e-9;
   /// Feasibility/optimality tolerance on reduced costs and residuals.
   double tol = 1e-7;
-  /// Entering-column rule for the first attempt.
-  PivotRule pivotRule = PivotRule::Devex;
-  /// On IterationLimit (budget exhausted or the degenerate-stall guard
-  /// tripped) in phase 1 or a root phase 2, re-run that phase from a
-  /// clean start under progressively more conservative rules —
-  /// Dantzig, then Bland, which cannot cycle.  Cycling/stalling is the
-  /// usual culprit and a clean start carries none of the numeric drift
-  /// the stalled tableau accumulated.  Dual repairs have no ladder: a
-  /// failed repair ends the branch-and-bound search as Limit.
-  bool blandRetry = true;
   /// Run the lp::Reduction presolve pass before the simplex and map the
   /// solution back afterwards.  Results are identical either way;
   /// the reduced tableau is just smaller.

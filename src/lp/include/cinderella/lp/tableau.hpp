@@ -116,7 +116,7 @@ class Tableau {
   void dropArtificials();
 
   SimplexOptions opt_;
-  PivotRule rule_ = PivotRule::Dantzig;
+  PivotRule rule_ = PivotRule::Devex;
   int pivotBudget_ = 0;
   int numOriginal_ = 0;
   int m_ = 0;

@@ -71,8 +71,7 @@ void Tableau::subtractScaled(SparseRow* dst, double factor,
 }
 
 Tableau::Tableau(const Problem& p, const SimplexOptions& opt)
-    : opt_(opt), rule_(opt.pivotRule), pivotBudget_(opt.maxPivots),
-      numOriginal_(p.numVars()) {
+    : opt_(opt), pivotBudget_(opt.maxPivots), numOriginal_(p.numVars()) {
   const auto& cons = p.constraints();
   m_ = static_cast<int>(cons.size());
   numCols_ = numOriginal_ + 2 * m_;
@@ -218,7 +217,7 @@ SolveStatus Tableau::runPrimal(bool allowArtificialEntering) {
     if (pivots >= pivotBudget_) {
       return SolveStatus::IterationLimit;
     }
-    // Entering column per the configured rule.  Devex: largest
+    // Entering column per the current rule.  Devex: largest
     // rc^2/weight (smallest index on ties).  Dantzig: most negative
     // reduced cost (smallest index on ties).  Bland: smallest-index
     // column with negative reduced cost.

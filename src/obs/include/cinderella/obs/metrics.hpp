@@ -1,12 +1,9 @@
-// Metrics registry: named counters and log-scale histograms fed by the
-// low-level solvers through the support::MetricsSink seam.
-//
-// The registry is the sink implementation obs installs while a run is
-// being observed (see ScopedMetricsSink).  lp::FeasibleLp reports the
-// pivots of each phase 1 and each objective it optimizes, ilp::solve
-// reports nodes/LP calls, the thread pool reports task and
-// steal counts; all of them go through one virtual call per *solve* (not
-// per pivot), and nothing at all when no sink is installed.
+// Metrics registry: named counters and log-scale histograms for the
+// serving stack.  cinderella-serve owns one registry, fed from each
+// request's telemetry; its stats and metrics ops and GET /metrics read
+// snapshots of it with the server and solve-cache counters folded in.
+// The solvers never write here: their work reaches every output through
+// the lp::SolverCounters returned with each solve.
 //
 // Histograms use fixed power-of-two buckets so merging and serialising
 // snapshots needs no configuration: bucket 0 counts zero-valued samples
@@ -24,8 +21,6 @@
 #include <string>
 #include <string_view>
 #include <vector>
-
-#include "cinderella/support/metrics_sink.hpp"
 
 namespace cinderella::obs {
 
@@ -124,46 +119,22 @@ struct MetricsSnapshot {
 [[nodiscard]] std::int64_t percentileOf(std::vector<std::int64_t> samples,
                                         double q);
 
-/// Named counters + histograms behind the support::MetricsSink
-/// interface.  Lookup takes the registry mutex; the returned references
-/// stay valid for the registry's lifetime, so hot callers may cache
-/// them.  Metric values themselves are lock-free atomics.
-class MetricsRegistry : public support::MetricsSink {
+/// Named counters + histograms.  Lookup takes the registry mutex; the
+/// returned references stay valid for the registry's lifetime, so hot
+/// callers may cache them.  Metric values themselves are lock-free
+/// atomics.
+class MetricsRegistry {
  public:
   Counter& counter(std::string_view name);
   Histogram& histogram(std::string_view name);
 
-  // support::MetricsSink:
-  void add(std::string_view counter, std::int64_t delta) override;
-  void observe(std::string_view histogram, std::int64_t value) override;
-
   /// Point-in-time copy of every metric (see MetricsSnapshot).
   [[nodiscard]] MetricsSnapshot snapshot() const;
-
-  /// Serialises a snapshot as {"counters":{...},"histograms":{...}} into
-  /// an open writer position (caller supplies surrounding structure).
-  void toJson(JsonWriter* w) const;
-  [[nodiscard]] std::string json() const;
 
  private:
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
-};
-
-/// Installs a sink for the current scope and restores the previous one
-/// on destruction (exception-safe).
-class ScopedMetricsSink {
- public:
-  explicit ScopedMetricsSink(support::MetricsSink* sink)
-      : previous_(support::setMetricsSink(sink)) {}
-  ~ScopedMetricsSink() { support::setMetricsSink(previous_); }
-
-  ScopedMetricsSink(const ScopedMetricsSink&) = delete;
-  ScopedMetricsSink& operator=(const ScopedMetricsSink&) = delete;
-
- private:
-  support::MetricsSink* previous_;
 };
 
 }  // namespace cinderella::obs

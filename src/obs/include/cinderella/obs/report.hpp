@@ -1,6 +1,6 @@
 // Structured solve reports: the machine-readable (JSON) and
 // human-readable (table) views of an Estimate's per-constraint-set solve
-// records, plus an optional metrics snapshot.
+// records.
 //
 // The JSON report is the scripting surface for benchmark trajectories
 // and CI checks; its per-set records mirror ipet::SetSolveRecord
@@ -18,7 +18,6 @@
 namespace cinderella::obs {
 
 class JsonWriter;
-class MetricsRegistry;
 
 struct ReportOptions {
   /// Include wall-clock µs fields.  Off => the report for a fixed
@@ -37,8 +36,10 @@ struct ReportOptions {
 /// warmFailures, installPivots, seedPivots); 5 writes the solver
 /// counters from lp::SolverCounters::kFields, so the per-ILP record keys
 /// `nodes`/`pivots` became `nodesExpanded`/`totalPivots` and records
-/// omit every zero counter (stats keeps all of them).
-inline constexpr int kReportSchemaVersion = 5;
+/// omit every zero counter (stats keeps all of them); 6 dropped the
+/// optional process-wide `metrics` snapshot, whose solver numbers
+/// duplicated (and undercounted) `stats` and `sets`.
+inline constexpr int kReportSchemaVersion = 6;
 
 // Composable pieces (used by the bench JSON emitters as well as the full
 // report): each writes one JSON value at the writer's current position.
@@ -48,15 +49,12 @@ void setRecordToJson(JsonWriter* w, const ipet::SetSolveRecord& record,
                      const ReportOptions& options = {});
 
 /// The full report document:
-/// {"program":...,"bound":...,"stats":...,"sets":[...],"metrics":...}.
-/// `metrics` may be null (the "metrics" key is then omitted).
+/// {"program":...,"bound":...,"stats":...,"sets":[...]}.
 [[nodiscard]] std::string reportJson(std::string_view program,
                                      const ipet::Estimate& estimate,
-                                     const MetricsRegistry* metrics,
                                      const ReportOptions& options = {});
 void writeReportJson(std::string_view program, const ipet::Estimate& estimate,
-                     const MetricsRegistry* metrics, std::ostream& out,
-                     const ReportOptions& options = {});
+                     std::ostream& out, const ReportOptions& options = {});
 
 /// Human-readable per-set solve table for --verbose-solve: one row per
 /// constraint set with probe verdict, objectives, LP calls, nodes,

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "cinderella/obs/json.hpp"
-#include "cinderella/obs/metrics.hpp"
 #include "cinderella/support/text.hpp"
 
 namespace cinderella::obs {
@@ -119,7 +118,6 @@ void setRecordToJson(JsonWriter* w, const ipet::SetSolveRecord& record,
 
 std::string reportJson(std::string_view program,
                        const ipet::Estimate& estimate,
-                       const MetricsRegistry* metrics,
                        const ReportOptions& options) {
   JsonWriter w;
   w.beginObject();
@@ -152,18 +150,13 @@ std::string reportJson(std::string_view program,
     setRecordToJson(&w, record, options);
   }
   w.endArray();
-  if (metrics != nullptr) {
-    w.key("metrics");
-    metrics->toJson(&w);
-  }
   w.endObject();
   return w.str();
 }
 
 void writeReportJson(std::string_view program, const ipet::Estimate& estimate,
-                     const MetricsRegistry* metrics, std::ostream& out,
-                     const ReportOptions& options) {
-  out << reportJson(program, estimate, metrics, options) << "\n";
+                     std::ostream& out, const ReportOptions& options) {
+  out << reportJson(program, estimate, options) << "\n";
 }
 
 std::string formatSolveTable(const ipet::Estimate& estimate) {

@@ -476,9 +476,7 @@ Server::AnalyzeOutcome Server::handleAnalyze(const RequestFrame& frame,
       {
         auto reportTimer =
             obs::timeStage(telemetry, obs::RequestStage::Report);
-        obs::ReportOptions reportOptions;
-        report = obs::reportJson(result.program, result.estimate, nullptr,
-                                 reportOptions);
+        report = obs::reportJson(result.program, result.estimate);
       }
       auto encodeTimer = obs::timeStage(telemetry, obs::RequestStage::Encode);
       outcome.response = encodeAnalyzeResponse(

@@ -176,9 +176,12 @@ SimResult Simulator::runRaw(int function, std::span<const std::uint64_t> args,
       case Opcode::MovI: reg(in.rd) = encodeInt(in.imm); break;
       case Opcode::MovF: reg(in.rd) = encodeFloat(in.fimm); break;
       case Opcode::Mov: reg(in.rd) = reg(in.rs1); break;
-      case Opcode::Add: reg(in.rd) = encodeInt(ival(in.rs1) + ival(in.rs2)); break;
-      case Opcode::Sub: reg(in.rd) = encodeInt(ival(in.rs1) - ival(in.rs2)); break;
-      case Opcode::Mul: reg(in.rd) = encodeInt(ival(in.rs1) * ival(in.rs2)); break;
+      // Add/Sub/Mul/Neg/Shl and the immediates wrap modulo 2^64 like the
+      // hardware ALU: they run on the raw registers, where overflow is
+      // defined.
+      case Opcode::Add: reg(in.rd) = reg(in.rs1) + reg(in.rs2); break;
+      case Opcode::Sub: reg(in.rd) = reg(in.rs1) - reg(in.rs2); break;
+      case Opcode::Mul: reg(in.rd) = reg(in.rs1) * reg(in.rs2); break;
       case Opcode::Div: {
         const std::int64_t d = ival(in.rs2);
         if (d == 0) fault("integer division by zero in " + fn.name);
@@ -194,17 +197,14 @@ SimResult Simulator::runRaw(int function, std::span<const std::uint64_t> args,
       case Opcode::And: reg(in.rd) = reg(in.rs1) & reg(in.rs2); break;
       case Opcode::Or: reg(in.rd) = reg(in.rs1) | reg(in.rs2); break;
       case Opcode::Xor: reg(in.rd) = reg(in.rs1) ^ reg(in.rs2); break;
-      case Opcode::Shl:
-        reg(in.rd) = encodeInt(ival(in.rs1)
-                               << (ival(in.rs2) & 63));
-        break;
+      case Opcode::Shl: reg(in.rd) = reg(in.rs1) << (reg(in.rs2) & 63); break;
       case Opcode::Shr:
         reg(in.rd) = encodeInt(ival(in.rs1) >> (ival(in.rs2) & 63));
         break;
-      case Opcode::Neg: reg(in.rd) = encodeInt(-ival(in.rs1)); break;
+      case Opcode::Neg: reg(in.rd) = 0 - reg(in.rs1); break;
       case Opcode::Not: reg(in.rd) = encodeInt(~ival(in.rs1)); break;
-      case Opcode::AddI: reg(in.rd) = encodeInt(ival(in.rs1) + in.imm); break;
-      case Opcode::MulI: reg(in.rd) = encodeInt(ival(in.rs1) * in.imm); break;
+      case Opcode::AddI: reg(in.rd) = reg(in.rs1) + encodeInt(in.imm); break;
+      case Opcode::MulI: reg(in.rd) = reg(in.rs1) * encodeInt(in.imm); break;
       case Opcode::FAdd: reg(in.rd) = encodeFloat(fval(in.rs1) + fval(in.rs2)); break;
       case Opcode::FSub: reg(in.rd) = encodeFloat(fval(in.rs1) - fval(in.rs2)); break;
       case Opcode::FMul: reg(in.rd) = encodeFloat(fval(in.rs1) * fval(in.rs2)); break;

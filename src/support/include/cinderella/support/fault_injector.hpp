@@ -1,8 +1,7 @@
 // Deterministic fault injection — the seam that lets tests and the fuzz
 // oracle prove the solve engine's degradation paths stay sound.
 //
-// A FaultInjector is installed process-wide (like the MetricsSink) and
-// consulted at five sites:
+// A FaultInjector is installed process-wide and consulted at five sites:
 //
 //   * LpPivot        — the simplex pivot loop throws InjectedFaultError,
 //                      emulating a numeric breakdown mid-solve;
@@ -80,7 +79,7 @@ class FaultInjector {
 /// Installs `injector` (nullptr to disable); returns the previous one.
 FaultInjector* setFaultInjector(FaultInjector* injector) noexcept;
 
-/// RAII install/restore, mirroring obs::ScopedMetricsSink.
+/// RAII install/restore of the process-wide injector.
 class ScopedFaultInjector {
  public:
   explicit ScopedFaultInjector(FaultInjector* injector)

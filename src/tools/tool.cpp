@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <memory>
-#include <optional>
 #include <ostream>
 #include <sstream>
 
@@ -15,7 +14,6 @@
 #include "cinderella/explicitpath/enumerator.hpp"
 #include "cinderella/ipet/analyzer.hpp"
 #include "cinderella/ipet/annotate.hpp"
-#include "cinderella/obs/metrics.hpp"
 #include "cinderella/obs/report.hpp"
 #include "cinderella/obs/trace.hpp"
 #include "cinderella/sim/simulator.hpp"
@@ -92,8 +90,8 @@ observability:
   --trace-out <file>       write a Chrome trace-event JSON timeline of
                            the run (load in chrome://tracing or Perfetto)
   --report-json <file>     write a structured solve report: the bound,
-                           aggregate stats, one record per constraint
-                           set, and solver metrics
+                           aggregate stats and one record per
+                           constraint set
   --verbose-solve          print a per-constraint-set solve table
 
   --help                   show this message
@@ -439,13 +437,9 @@ int runTool(const ToolOptions& options, std::ostream& out,
     }
 
     // Observability: a tracer only when --trace-out asked for one (a null
-    // tracer keeps every Span disabled), and a metrics registry installed
-    // as the process-wide sink only while --report-json needs a snapshot.
+    // tracer keeps every Span disabled).
     std::unique_ptr<obs::Tracer> tracer;
     if (!options.traceOut.empty()) tracer = std::make_unique<obs::Tracer>();
-    obs::MetricsRegistry metrics;
-    std::optional<obs::ScopedMetricsSink> scopedSink;
-    if (!options.reportJson.empty()) scopedSink.emplace(&metrics);
 
     obs::Span frontendSpan(tracer.get(), "frontend", "ipet");
     const codegen::CompileResult compiled = codegen::compileSource(source);
@@ -525,14 +519,13 @@ int runTool(const ToolOptions& options, std::ostream& out,
       tracer->writeChromeTrace(traceFile);
     }
     if (!options.reportJson.empty()) {
-      scopedSink.reset();  // stop collecting; the snapshot is final
       const std::string program =
           !options.benchmark.empty() ? options.benchmark : options.sourcePath;
       std::ofstream reportFile(options.reportJson);
       if (!reportFile) {
         throw Error("cannot write report to '" + options.reportJson + "'");
       }
-      obs::writeReportJson(program, estimate, &metrics, reportFile);
+      obs::writeReportJson(program, estimate, reportFile);
     }
 
     if (options.verboseSolve) {

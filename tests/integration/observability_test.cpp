@@ -9,7 +9,6 @@
 #include "cinderella/codegen/codegen.hpp"
 #include "cinderella/ipet/analyzer.hpp"
 #include "cinderella/obs/json.hpp"
-#include "cinderella/obs/metrics.hpp"
 #include "cinderella/obs/report.hpp"
 #include "cinderella/obs/trace.hpp"
 #include "cinderella/suite/suite.hpp"
@@ -139,8 +138,8 @@ TEST(ObservedEstimate, RecordsAreDeterministicAcrossThreadCounts) {
     EXPECT_EQ(ra.probePivots, rb.probePivots);
     EXPECT_EQ(ra.sharedWith, rb.sharedWith);
     EXPECT_EQ(ra.dominated, rb.dominated);
-    for (const auto [ia, ib] : {std::pair{&ra.worst, &rb.worst},
-                                std::pair{&ra.best, &rb.best}}) {
+    for (const auto& [ia, ib] : {std::pair{&ra.worst, &rb.worst},
+                                 std::pair{&ra.best, &rb.best}}) {
       EXPECT_EQ(ia->solved, ib->solved);
       EXPECT_EQ(ia->feasible, ib->feasible);
       EXPECT_EQ(ia->objective, ib->objective);
@@ -152,34 +151,20 @@ TEST(ObservedEstimate, RecordsAreDeterministicAcrossThreadCounts) {
   // The whole timing-free report is byte-identical across thread counts.
   obs::ReportOptions stable;
   stable.includeTimings = false;
-  EXPECT_EQ(obs::reportJson("dhry", a, nullptr, stable),
-            obs::reportJson("dhry", b, nullptr, stable));
+  EXPECT_EQ(obs::reportJson("dhry", a, stable),
+            obs::reportJson("dhry", b, stable));
 }
 
 TEST(ObservedEstimate, ReportJsonIsValidAndCarriesTheRun) {
   Prepared prep("check_data");
-  obs::MetricsRegistry metrics;
-  ipet::Estimate estimate;
-  {
-    obs::ScopedMetricsSink scoped(&metrics);
-    estimate = prep.analyzer.estimate();
-  }
-  const std::string json =
-      obs::reportJson("check_data", estimate, &metrics, {});
+  const ipet::Estimate estimate = prep.analyzer.estimate();
+  const std::string json = obs::reportJson("check_data", estimate);
   EXPECT_EQ(obs::jsonLint(json), "") << json;
   EXPECT_NE(json.find("\"program\":\"check_data\""), std::string::npos);
   EXPECT_NE(json.find("\"bound\""), std::string::npos);
   EXPECT_NE(json.find("\"sets\""), std::string::npos);
-  EXPECT_NE(json.find("\"metrics\""), std::string::npos);
-  EXPECT_NE(json.find("\"lp.solves\""), std::string::npos);
-  EXPECT_NE(json.find("\"ilp.solves\""), std::string::npos);
-  // The registry saw exactly the run's ILP count.
-  EXPECT_EQ(metrics.counter("ilp.solves").value(), estimate.stats.ilpSolves);
-
-  // Without a registry the metrics key is simply absent.
-  const std::string bare = obs::reportJson("check_data", estimate, nullptr, {});
-  EXPECT_EQ(obs::jsonLint(bare), "");
-  EXPECT_EQ(bare.find("\"metrics\""), std::string::npos);
+  // The solver's work is reported once, in stats and sets.
+  EXPECT_EQ(json.find("\"metrics\""), std::string::npos);
 }
 
 TEST(ObservedEstimate, SolveTableHasOneRowPerSet) {

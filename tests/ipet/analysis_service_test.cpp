@@ -262,6 +262,50 @@ TEST(AnalysisService, LpInputReportsEverySolverCounter) {
   }
 }
 
+AnalysisRequest loopLpRequest() {
+  const auto compiled = codegen::compileSource(kLoop);
+  const Analyzer analyzer(compiled, "f");
+  AnalysisRequest request;
+  request.lpInput = true;
+  request.source = analyzer.exportWorstCaseIlp();
+  return request;
+}
+
+TEST(AnalysisService, LpInputOverTheMemoryCeilingFailsWithoutASolve) {
+  AnalysisService service;
+  AnalysisRequest request = loopLpRequest();
+  request.control.maxMemoryBytes = 1;
+  const AnalysisResult result = service.analyze(request);
+  const Estimate& estimate = result.estimate;
+  ASSERT_EQ(estimate.setRecords.size(), 1u);
+  EXPECT_EQ(estimate.setRecords[0].verdict, SetVerdict::Failed);
+  EXPECT_EQ(estimate.setRecords[0].issue, ErrorCode::MemoryCeiling);
+  ASSERT_EQ(estimate.issues.size(), 1u);
+  EXPECT_EQ(estimate.issues[0].code, ErrorCode::MemoryCeiling);
+  EXPECT_FALSE(estimate.sound());
+  EXPECT_EQ(estimate.stats.ilpSolves, 0);
+  EXPECT_EQ(estimate.stats.totalPivots, 0);
+  EXPECT_FALSE(estimate.setRecords[0].worst.solved);
+  // A failed result is never admitted to the cache.
+  EXPECT_EQ(service.cache().boundEntries(), 0u);
+}
+
+TEST(AnalysisService, LpInputHonoursThePresolveSwitch) {
+  const AnalysisService service;
+  AnalysisRequest request = loopLpRequest();
+  request.cachePolicy = CachePolicy::Bypass;
+  const AnalysisResult on = service.analyze(request);
+  request.control.presolve = false;
+  const AnalysisResult off = service.analyze(request);
+  EXPECT_EQ(off.estimate.bound, on.estimate.bound);
+  EXPECT_GT(on.estimate.stats.presolveRounds, 0);
+  const lp::SolverCounters& counters = off.estimate.stats;
+  EXPECT_EQ(counters.presolveRowsRemoved, 0);
+  EXPECT_EQ(counters.presolveColsFixed, 0);
+  EXPECT_EQ(counters.presolveSubstitutions, 0);
+  EXPECT_EQ(counters.presolveRounds, 0);
+}
+
 TEST(AnalysisService, LpInputRejectsBenchmarkAndConstraints) {
   AnalysisService service;
   AnalysisRequest request;

@@ -232,8 +232,7 @@ TEST(ServeProtocol, AnalyzeResponseEmbedsReportWithSchemaVersion) {
   result.structuralDigest = {3, 4};
   result.cacheHit = true;
   result.solveMicros = 55;
-  const std::string report =
-      obs::reportJson("unit", result.estimate, nullptr);
+  const std::string report = obs::reportJson("unit", result.estimate);
   const std::string line =
       encodeAnalyzeResponse(9, result, report, /*degradedAdmission=*/true);
 
