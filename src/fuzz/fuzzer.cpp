@@ -42,6 +42,8 @@ FuzzSummary runFuzz(const FuzzOptions& options,
     ++summary.runs;
     summary.simRuns += report.simRuns;
     if (report.explicitComplete) ++summary.explicitComplete;
+    summary.ilpSolves += report.ilpSolves;
+    summary.fractionalRoots += report.fractionalRoots;
     if (report.ok()) continue;
 
     ++summary.failures;
@@ -88,6 +90,11 @@ std::string fuzzSummaryJson(const FuzzSummary& summary,
   w.key("wallSeconds").value(wallSeconds);
   w.key("programsPerSec")
       .value(wallSeconds > 0.0 ? summary.runs / wallSeconds : 0.0);
+  w.key("fractionalRootShare")
+      .value(summary.ilpSolves > 0
+                 ? static_cast<double>(summary.fractionalRoots) /
+                       static_cast<double>(summary.ilpSolves)
+                 : 0.0);
   w.key("failureKinds").beginArray();
   for (const FuzzFailure& failure : failures) {
     w.value(failure.report.discrepancies.empty()

@@ -16,6 +16,17 @@ std::uint64_t deriveSeed(std::uint64_t baseSeed, std::uint64_t run) {
   return z ? z : 1;
 }
 
+GeneratorOptions branchingProfile() {
+  GeneratorOptions options;
+  options.maxLoopBound = 12;
+  options.maxLoopDepth = 3;
+  options.maxTopStatements = 12;
+  options.maxExprDepth = 3;
+  options.arrayWords = 64;
+  options.maxHelpers = 4;
+  return options;
+}
+
 ProgramGenerator::ProgramGenerator(GeneratorOptions options)
     : options_(options) {
   CIN_REQUIRE(options_.maxLoopBound >= 1);

@@ -49,6 +49,9 @@ struct FuzzSummary {
   std::int64_t simRuns = 0;
   std::int64_t explicitComplete = 0;
   std::int64_t shrinkCandidates = 0;
+  /// Oracle ILP totals (OracleReport::ilpSolves / fractionalRoots).
+  std::int64_t ilpSolves = 0;
+  std::int64_t fractionalRoots = 0;
 };
 
 /// Runs a campaign.  Failures (with shrunk reproducers) are appended to
@@ -67,7 +70,9 @@ FuzzSummary runFuzz(const FuzzOptions& options,
 
 /// One-line machine-readable campaign summary:
 /// {"tool":"cinderella-fuzz","seed":...,"runs":...,"failures":...,
-///  "programsPerSec":...,"failureKinds":[...]}.
+///  "programsPerSec":...,"fractionalRootShare":...,"failureKinds":[...]},
+/// where fractionalRootShare is the share of the oracle's ILPs whose
+/// root relaxation was fractional (0 when none was solved).
 [[nodiscard]] std::string fuzzSummaryJson(
     const FuzzSummary& summary, const std::vector<FuzzFailure>& failures,
     double wallSeconds);

@@ -47,6 +47,13 @@ struct GeneratorOptions {
   bool emitConstraints = false;
 };
 
+/// The `branching` profile: deeper loop nests with larger trip counts,
+/// longer bodies, a 64-word array and up to four helpers.  Under the
+/// conflict-graph cache mode a share of these programs has a fractional
+/// root relaxation, so branch-and-bound really branches; the default
+/// options almost never get there.  emitConstraints is left off.
+[[nodiscard]] GeneratorOptions branchingProfile();
+
 /// One generated program plus everything an oracle needs to drive it.
 struct GeneratedProgram {
   std::uint64_t seed = 0;

@@ -121,6 +121,10 @@ struct OracleReport {
   bool explicitComplete = false;
   std::uint64_t pathsExplored = 0;
   int simRuns = 0;
+  /// ILPs solved by the per-cache-mode estimates, and how many of them
+  /// had a fractional root relaxation (so branch-and-bound branched).
+  int ilpSolves = 0;
+  int fractionalRoots = 0;
   /// Degradation drill (faultRate > 0): issues absorbed by the faulted
   /// run and whether it still claimed a sound interval.
   int faultIssues = 0;

@@ -160,6 +160,13 @@ OracleReport DifferentialOracle::check(const GeneratedProgram& program,
       aopt.cacheMode = mode;
       ipet::Analyzer analyzer(*compiled, program.root, aopt);
       estimates.push_back(analyzer.estimate());
+      for (const ipet::SetSolveRecord& rec : estimates.back().setRecords) {
+        for (const ipet::IlpSolveRecord* side : {&rec.worst, &rec.best}) {
+          if (!side->solved) continue;
+          ++report.ilpSolves;
+          if (!side->firstRelaxationIntegral) ++report.fractionalRoots;
+        }
+      }
       // Presolve A/B at every cache mode: the reduction engine must be
       // invisible in the interval and per-set verdicts.
       if (options_.checkPresolve) {

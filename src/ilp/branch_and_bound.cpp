@@ -46,22 +46,17 @@ struct Node {
   double parentBound = 0.0;
 };
 
-/// Index of the variable whose value is farthest from an integer, or
-/// nullopt when the point is integral within `tol`.
-std::optional<int> mostFractional(const std::vector<double>& values,
-                                  double tol) {
-  int best = -1;
-  double bestDist = tol;
+/// Index of the lowest-numbered variable whose value is fractional
+/// beyond `tol`, or nullopt when the point is integral.  Index order is
+/// the branching priority: see the header comment.
+std::optional<int> firstFractional(const std::vector<double>& values,
+                                   double tol) {
   for (std::size_t i = 0; i < values.size(); ++i) {
-    const double frac = values[i] - std::floor(values[i]);
-    const double dist = std::min(frac, 1.0 - frac);
-    if (dist > bestDist) {
-      bestDist = dist;
-      best = static_cast<int>(i);
+    if (std::abs(values[i] - std::round(values[i])) > tol) {
+      return static_cast<int>(i);
     }
   }
-  if (best < 0) return std::nullopt;
-  return best;
+  return std::nullopt;
 }
 
 /// True when `x` is an integer within `tol`; *out receives the rounding.
@@ -212,7 +207,7 @@ IlpSolution solve(const lp::Problem& problem, const lp::FeasibleLp& region,
     const double objective =
         maximize ? live->objectiveValue() : -live->objectiveValue();
     const std::vector<double> values = live->values();
-    const auto fractional = mostFractional(values, options.intTol);
+    const auto fractional = firstFractional(values, options.intTol);
     if (rootNode) {
       // The root relaxation bounds the ILP optimum from the relaxed
       // side; the analyzer's degradation ladder falls back to it when

@@ -6,6 +6,17 @@
 // branch appends one bound row that the dual simplex repairs in place
 // (see feasible_lp.hpp and tableau.hpp).
 //
+// Each node branches on the lowest-index variable whose value is
+// fractional.  Index order is a priority, not an accident of numbering:
+// ipet::Analyzer lays out every context's flow counts (block counts x,
+// edge counts d) first and the cache-state variables (first-iteration
+// xfirst, conflict-graph y/p/miss) after them, and lp::Reduction keeps
+// the surviving columns in ascending original order.  So the search
+// fixes control flow before cache state; the cache variables of an
+// integral flow usually follow without further branching.  Branching
+// on the most fractional column instead picks conflict-graph variables
+// first and grows trees hundreds of times larger (EXPERIMENTS.md).
+//
 // The solver is instrumented: it records how many LP relaxations were
 // solved and whether the *first* relaxation already produced an integral
 // point.  Section III-D of the paper observes that for IPET constraint

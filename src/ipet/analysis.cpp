@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cmath>
 #include <algorithm>
+#include <limits>
 
 #include "cinderella/codegen/codegen.hpp"
 #include "cinderella/ilp/branch_and_bound.hpp"
@@ -34,6 +35,17 @@ std::string defaultLabel(const AnalysisRequest& request) {
 std::int64_t exactObjective(const ilp::IlpSolution& solution) {
   if (solution.objectiveIsExact) return solution.objectiveExact;
   return static_cast<std::int64_t>(std::llround(solution.objective));
+}
+
+/// A root relaxation bound rounded away from the optimum: up for a
+/// maximization, down for a minimization, saturating at the int64 edges.
+std::int64_t outwardBound(double relaxation, bool maximize) {
+  constexpr double kInt64Edge = 9.2e18;  // doubles beyond here can't narrow
+  const double rounded = maximize ? std::ceil(relaxation)
+                                  : std::floor(relaxation);
+  if (rounded >= kInt64Edge) return std::numeric_limits<std::int64_t>::max();
+  if (rounded <= -kInt64Edge) return std::numeric_limits<std::int64_t>::min();
+  return static_cast<std::int64_t>(rounded);
 }
 
 /// Digest of a stand-alone LP problem: sense, variable count, canonical
@@ -321,6 +333,7 @@ AnalysisResult AnalysisService::analyzeLp(
 
   Estimate& estimate = result.estimate;
   estimate.stats.constraintSets = static_cast<int>(problems.size());
+  // Bounds each problem contributes, exact or relaxed, by sense.
   std::vector<std::int64_t> maxima;
   std::vector<std::int64_t> minima;
   const Clock::time_point solveStart = Clock::now();
@@ -375,17 +388,25 @@ AnalysisResult AnalysisService::analyzeLp(
       (maximize ? maxima : minima).push_back(ilpRecord.objective);
       record.verdict = SetVerdict::Exact;
     } else {
-      // Limit or Interrupted: this side of the system could not be
-      // bounded exactly and — unlike the analyzer pipeline, which owns
-      // the base problem — there is no structural fallback to degrade
-      // to, so the set fails and the estimate reports itself unsound.
+      // Limit or Interrupted.  As on the analyzer's ladder, the root
+      // relaxation still bounds this problem, rounded outward (an
+      // LP-format objective need not have integral coefficients);
+      // without one the problem fails and contributes nothing.
       const bool deadlineHit = hasDeadline && Clock::now() >= deadlineAt;
-      record.verdict = SetVerdict::Failed;
       record.issue = deadlineHit ? ErrorCode::DeadlineExpired
                                  : ErrorCode::NodeBudgetExhausted;
       ilpRecord.degraded = true;
-      estimate.stats.failedSets += 1;
       if (deadlineHit) estimate.timedOut = true;
+      if (solution.haveRelaxationBound) {
+        ilpRecord.fallbackBound = outwardBound(solution.relaxationBound,
+                                               maximize);
+        (maximize ? maxima : minima).push_back(ilpRecord.fallbackBound);
+        record.verdict = SetVerdict::Relaxed;
+        estimate.stats.relaxedSets += 1;
+      } else {
+        record.verdict = SetVerdict::Failed;
+        estimate.stats.failedSets += 1;
+      }
       SolveIssue issue;
       issue.setIndex = static_cast<int>(i);
       issue.code = record.issue;
@@ -403,13 +424,22 @@ AnalysisResult AnalysisService::analyzeLp(
 
   // Worst case from the maximization problems, best case from the
   // minimizations; a one-sided system falls back to the extremes of the
-  // side it has, so the interval always encloses every optimum seen.
-  const std::vector<std::int64_t>& hiSide = maxima.empty() ? minima : maxima;
-  const std::vector<std::int64_t>& loSide = minima.empty() ? maxima : minima;
-  if (!hiSide.empty()) {
-    estimate.bound.hi = *std::max_element(hiSide.begin(), hiSide.end());
-    estimate.bound.lo = *std::min_element(loSide.begin(), loSide.end());
-  }
+  // side it has, so the interval always encloses every optimum seen.  A
+  // side on which no problem yielded a bound is unbounded.
+  const auto hasSense = [&](lp::Sense sense) {
+    return std::any_of(problems.begin(), problems.end(),
+                       [&](const lp::Problem& p) { return p.sense() == sense; });
+  };
+  const std::vector<std::int64_t>& hiSide =
+      hasSense(lp::Sense::Maximize) ? maxima : minima;
+  const std::vector<std::int64_t>& loSide =
+      hasSense(lp::Sense::Minimize) ? minima : maxima;
+  estimate.bound.hi = hiSide.empty()
+                          ? std::numeric_limits<std::int64_t>::max()
+                          : *std::max_element(hiSide.begin(), hiSide.end());
+  estimate.bound.lo = loSide.empty()
+                          ? std::numeric_limits<std::int64_t>::min()
+                          : *std::min_element(loSide.begin(), loSide.end());
 
   if (useCache && request.cachePolicy == CachePolicy::ReadWrite) {
     auto storeTimer = obs::timeStage(telemetry, obs::RequestStage::CacheStore);

@@ -30,6 +30,11 @@ options:
   --seed <S>            campaign seed; run i uses a seed derived from
                         (S, i), so failures replay from the summary line
                         (default 1)
+  --profile branching   larger programs (loop bounds up to 12, nests 3
+                        deep, up to 12 top-level statements, 64-word
+                        array, 4 helpers), where some conflict-graph
+                        ILPs have fractional roots and branch-and-bound
+                        branches; options after it override its fields
   --max-loop-bound <K>  maximum exact trip count of generated loops
                         (default 4)
   --sim-trials <N>      simulator inputs tried per program (default 5)
@@ -54,7 +59,9 @@ options:
   --help                show this message
 
 The JSON summary line on stdout reports runs, failures, throughput
-(programs/sec) and the discrepancy kind of each failure.
+(programs/sec), the share of solved ILPs whose root relaxation was
+fractional (fractionalRootShare) and the discrepancy kind of each
+failure.
 )";
 
 struct CliOptions {
@@ -107,6 +114,16 @@ int parseArgs(int argc, char** argv, CliOptions* options) {
     } else if (arg == "--seed") {
       const char* v = value();
       if (!v || !parseUint64(v, &options->fuzz.seed)) return 2;
+    } else if (arg == "--profile") {
+      const char* v = value();
+      if (!v) return 2;
+      if (std::string(v) != "branching") {
+        std::cerr << "cinderella-fuzz: unknown profile '" << v << "'\n";
+        return 2;
+      }
+      const bool constraints = options->fuzz.generator.emitConstraints;
+      options->fuzz.generator = cinderella::fuzz::branchingProfile();
+      options->fuzz.generator.emitConstraints = constraints;
     } else if (arg == "--max-loop-bound") {
       const char* v = value();
       if (!v ||

@@ -91,5 +91,17 @@ TEST(GeneratorTest, OneThousandProgramsCompileAndSimulate) {
   }
 }
 
+TEST(GeneratorProfile, BranchingProfileLeavesConstraintsToTheCaller) {
+  // BranchingCorpus's node ceiling was measured on exactly this shape.
+  const GeneratorOptions profile = branchingProfile();
+  EXPECT_EQ(profile.maxLoopBound, 12);
+  EXPECT_EQ(profile.maxLoopDepth, 3);
+  EXPECT_EQ(profile.maxTopStatements, 12);
+  EXPECT_EQ(profile.maxExprDepth, 3);
+  EXPECT_EQ(profile.arrayWords, 64);
+  EXPECT_EQ(profile.maxHelpers, 4);
+  EXPECT_FALSE(profile.emitConstraints);
+}
+
 }  // namespace
 }  // namespace cinderella::fuzz

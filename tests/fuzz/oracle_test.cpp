@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <string>
 
+#include "cinderella/fuzz/fuzzer.hpp"
 #include "cinderella/fuzz/generator.hpp"
 #include "cinderella/fuzz/oracle.hpp"
 
@@ -123,6 +124,40 @@ TEST(OracleTest, DegradationDrillStaysClean) {
     EXPECT_FALSE(hasKind(report, CheckKind::DegradedUnsound))
         << "seed " << seed << ": " << report.summary();
   }
+}
+
+TEST(OracleTest, CountsFractionalRootsOnTheBranchingProfile) {
+  // Under the branching profile this program's conflict-graph ILPs have
+  // fractional roots; the report counts them among all solved ILPs.
+  GeneratorOptions gopt = branchingProfile();
+  gopt.emitConstraints = true;
+  const GeneratedProgram program = ProgramGenerator(gopt).generate(4225924610);
+  OracleOptions options;
+  options.simTrials = 1;
+  options.extraJobs.clear();
+  options.compareExplicit = false;
+  options.checkPresolve = false;
+  options.checkSolveCache = false;
+  options.checkParametric = false;
+  const OracleReport report =
+      DifferentialOracle(options).check(program, 4225924610 ^ 1);
+  EXPECT_TRUE(report.ok()) << report.summary();
+  EXPECT_GT(report.fractionalRoots, 0);
+  EXPECT_GE(report.ilpSolves, report.fractionalRoots + 2);
+}
+
+TEST(OracleTest, SummaryJsonReportsTheFractionalRootShare) {
+  FuzzSummary summary;
+  summary.runs = 2;
+  summary.ilpSolves = 8;
+  summary.fractionalRoots = 2;
+  const std::string json = fuzzSummaryJson(summary, {}, 1.0);
+  EXPECT_NE(json.find("\"fractionalRootShare\":0.25"), std::string::npos)
+      << json;
+  summary.ilpSolves = 0;
+  summary.fractionalRoots = 0;
+  EXPECT_NE(fuzzSummaryJson(summary, {}, 1.0).find("\"fractionalRootShare\":0"),
+            std::string::npos);
 }
 
 TEST(OracleTest, SummaryNamesTheFirstDiscrepancy) {

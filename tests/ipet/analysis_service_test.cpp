@@ -5,6 +5,7 @@
 // resolution goes through the injected ProgramResolver seam.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <optional>
 #include <string>
 
@@ -286,8 +287,47 @@ TEST(AnalysisService, LpInputOverTheMemoryCeilingFailsWithoutASolve) {
   EXPECT_EQ(estimate.stats.ilpSolves, 0);
   EXPECT_EQ(estimate.stats.totalPivots, 0);
   EXPECT_FALSE(estimate.setRecords[0].worst.solved);
+  // No problem yielded a bound, so the interval claims nothing.
+  EXPECT_EQ(estimate.bound.lo, std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(estimate.bound.hi, std::numeric_limits<std::int64_t>::max());
   // A failed result is never admitted to the cache.
   EXPECT_EQ(service.cache().boundEntries(), 0u);
+}
+
+TEST(AnalysisService, LpInputOutOfNodesDegradesToItsRootRelaxation) {
+  // Both roots are fractional (x0 + x1 = 1.5); one node lets the search
+  // solve the root but not branch, so each problem falls back to its
+  // root relaxation rounded outward: 1.5 up to 2, 0.5 down to 0.
+  AnalysisService service;
+  AnalysisRequest request;
+  request.lpInput = true;
+  request.source =
+      "Maximize\n obj: x0 + x1\nSubject To\n c0: 2 x0 + 2 x1 <= 3\nEnd\n"
+      "Minimize\n obj: x0 + x1\nSubject To\n c0: 2 x0 + 2 x1 >= 1\nEnd\n";
+  request.control.maxNodes = 1;
+  const AnalysisResult result = service.analyze(request);
+  const Estimate& estimate = result.estimate;
+  EXPECT_EQ(estimate.bound.lo, 0);
+  EXPECT_EQ(estimate.bound.hi, 2);
+  EXPECT_TRUE(estimate.sound());
+  EXPECT_EQ(estimate.stats.relaxedSets, 2);
+  ASSERT_EQ(estimate.setRecords.size(), 2u);
+  for (const SetSolveRecord& record : estimate.setRecords) {
+    EXPECT_EQ(record.verdict, SetVerdict::Relaxed);
+    EXPECT_EQ(record.issue, ErrorCode::NodeBudgetExhausted);
+  }
+  EXPECT_EQ(estimate.setRecords[0].worst.fallbackBound, 2);
+  EXPECT_EQ(estimate.setRecords[1].best.fallbackBound, 0);
+  ASSERT_EQ(estimate.issues.size(), 2u);
+  // A relaxed result is never admitted to the cache.
+  EXPECT_EQ(service.cache().boundEntries(), 0u);
+
+  // With the node budget restored, both problems solve exactly.
+  request.control.maxNodes = 0;
+  const Estimate exact = service.analyze(request).estimate;
+  EXPECT_EQ(exact.bound.lo, 1);
+  EXPECT_EQ(exact.bound.hi, 1);
+  EXPECT_EQ(exact.stats.relaxedSets, 0);
 }
 
 TEST(AnalysisService, LpInputHonoursThePresolveSwitch) {

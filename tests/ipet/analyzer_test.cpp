@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <regex>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "cinderella/codegen/codegen.hpp"
 #include "cinderella/ipet/analyzer.hpp"
@@ -494,6 +498,59 @@ TEST(ConflictGraph, NodeCapForcesFallback) {
   EXPECT_EQ(ec.stats.cacheFlowVars, 0);
   // With every set on fallback, the bound degenerates to all-miss.
   EXPECT_EQ(ec.bound.hi, plain.estimate().bound.hi);
+}
+
+/// Variable names of the first exported ILP, in index order (its
+/// `General` section lists every variable once, by index).
+std::vector<std::string> exportedVarNames(const Analyzer& analyzer) {
+  std::istringstream text(analyzer.exportWorstCaseIlp());
+  std::vector<std::string> names;
+  std::string line;
+  while (std::getline(text, line) && line != "General") {
+  }
+  while (std::getline(text, line) && line != "End") {
+    names.push_back(line.substr(1));  // entries are indented one space
+  }
+  return names;
+}
+
+TEST(VariableLayout, FlowCountsPrecedeCacheVariables) {
+  // Branch-and-bound branches on the lowest-index fractional variable,
+  // which fixes control flow before cache state only because every flow
+  // count (fn.xN / fn.dN, one per context) is numbered before every
+  // cache variable (xfirst, y:, p:, miss:; ':' exports as '_').
+  const char* source =
+      "int data[64];\n"
+      "int g(int a) { return a + data[a & 63]; }\n"
+      "int f() { int i; int s; s = 0; for (i = 0; i < 8; i = i + 1) { "
+      "__loopbound(8, 8); s = g(s); s = s + g(i); } return s; }";
+  const auto c = codegen::compileSource(source);
+  const std::regex flowVar(R"([fg]\.[xd][0-9]+(\[.*\])?)");
+  const std::regex cacheVar(R"(.*\.xfirst.*|(y|p|miss)_.*)");
+  for (const CacheMode mode :
+       {CacheMode::FirstIterationSplit, CacheMode::ConflictGraph}) {
+    SCOPED_TRACE(cacheModeStr(mode));
+    AnalyzerOptions opt;
+    opt.cacheMode = mode;
+    const Analyzer analyzer(c, "f", opt);
+    ASSERT_GE(analyzer.contexts().size(), 3u);  // f plus two g contexts
+    const std::vector<std::string> names = exportedVarNames(analyzer);
+    int flow = 0;
+    int cache = 0;
+    for (const std::string& name : names) {
+      SCOPED_TRACE(name);
+      if (std::regex_match(name, flowVar)) {
+        EXPECT_EQ(cache, 0) << "flow variable after a cache variable";
+        ++flow;
+      } else {
+        EXPECT_TRUE(std::regex_match(name, cacheVar))
+            << "neither flow nor cache";
+        ++cache;
+      }
+    }
+    EXPECT_GT(flow, 0);
+    EXPECT_GT(cache, 0);
+  }
 }
 
 TEST(FirstIterSplit, SkipsLoopsWhoseCalleeOverflowsCache) {

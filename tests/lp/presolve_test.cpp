@@ -3,6 +3,7 @@
 // of reduced-space solutions back to the original problem.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "cinderella/lp/presolve.hpp"
@@ -66,6 +67,53 @@ TEST(Presolve, FlowSystemShrinksAndAgreesWithRawSolve) {
   EXPECT_EQ(raw.counters.presolveColsFixed, 0);
   EXPECT_EQ(raw.counters.presolveSubstitutions, 0);
   EXPECT_EQ(raw.counters.presolveRounds, 0);
+}
+
+TEST(Presolve, SurvivingColumnsKeepTheirOriginalOrder) {
+  // Branch-and-bound picks the lowest-index fractional column of the
+  // reduced problem and relies on that index order being the original
+  // one.  Three diamonds in a row, each with a bounded loop body: the
+  // pass eliminates columns between the survivors, which must still
+  // come out in strictly ascending original order.
+  Problem p;
+  constexpr int kDiamonds = 3;
+  for (int d = 0; d < kDiamonds; ++d) {
+    for (const char* part : {"in", "left", "right", "body"}) {
+      p.addVar(std::string(part) + std::to_string(d));
+    }
+  }
+  LinearExpr objective;
+  for (int v = 0; v < p.numVars(); ++v) objective.add(v, 1.0 + v % 3);
+  p.setObjective(std::move(objective), Sense::Maximize);
+  p.addConstraint(expr({{0, 1.0}}), Relation::Equal, 1.0);
+  for (int d = 0; d < kDiamonds; ++d) {
+    const int in = 4 * d;
+    p.addConstraint(expr({{in + 1, 1.0}, {in + 2, 1.0}, {in, -1.0}}),
+                    Relation::Equal, 0.0);
+    p.addConstraint(expr({{in + 3, 1.0}, {in + 1, -7.0}, {in + 2, -3.0}}),
+                    Relation::LessEq, 0.0);
+    if (d + 1 < kDiamonds) {
+      p.addConstraint(expr({{in + 4, 1.0}, {in + 1, -1.0}, {in + 2, -1.0}}),
+                      Relation::Equal, 0.0);
+    }
+  }
+  const Reduction r = Reduction::reduce(p, SimplexOptions{});
+  ASSERT_FALSE(r.provedInfeasible());
+  std::vector<int> survivors;
+  for (int j = 0; j < r.reduced().numVars(); ++j) {
+    int original = -1;
+    for (int v = 0; v < p.numVars(); ++v) {
+      if (p.varName(v) == r.reduced().varName(j)) original = v;
+    }
+    ASSERT_GE(original, 0) << r.reduced().varName(j);
+    survivors.push_back(original);
+  }
+  ASSERT_GE(survivors.size(), 3u);
+  // Not vacuous: some eliminated column sits below the last survivor.
+  EXPECT_LT(static_cast<int>(survivors.size()), survivors.back() + 1);
+  for (std::size_t j = 1; j < survivors.size(); ++j) {
+    EXPECT_LT(survivors[j - 1], survivors[j]);
+  }
 }
 
 TEST(Presolve, PostsolveValuesSatisfyEveryOriginalRow) {
