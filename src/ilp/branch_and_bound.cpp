@@ -161,7 +161,7 @@ IlpSolution solve(const lp::Problem& problem, const lp::FeasibleLp& region,
       hitLimit = true;
       break;
     }
-    if (options.interrupt && options.interrupt()) {
+    if (options.lpOptions.interrupt && options.lpOptions.interrupt()) {
       interrupted = true;
       break;
     }

@@ -25,7 +25,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "cinderella/lp/feasible_lp.hpp"
@@ -73,10 +72,7 @@ struct IlpOptions {
   int maxNodes = 100000;
   /// |x - round(x)| below this counts as integral.
   double intTol = 1e-6;
-  /// Polled once per node; returning true stops the search with
-  /// IlpStatus::Interrupted (incumbent, if any, is preserved).  Used by
-  /// the analyzer's deadline so a set never runs past its budget.
-  std::function<bool()> interrupt;
+  /// Every LP of the search; its interrupt is also polled once per node.
   lp::SimplexOptions lpOptions;
 };
 

@@ -1,8 +1,7 @@
 #include "cinderella/ipet/analysis.hpp"
 
-#include <chrono>
-#include <cmath>
 #include <algorithm>
+#include <chrono>
 #include <limits>
 
 #include "cinderella/codegen/codegen.hpp"
@@ -11,6 +10,7 @@
 #include "cinderella/lp/lp_format.hpp"
 #include "cinderella/obs/request_telemetry.hpp"
 #include "cinderella/support/error.hpp"
+#include "set_solve.hpp"
 
 namespace cinderella::ipet {
 
@@ -18,34 +18,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-std::int64_t microsSince(Clock::time_point start) {
-  return std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
-                                                               start)
-      .count();
-}
-
 std::string defaultLabel(const AnalysisRequest& request) {
   if (!request.label.empty()) return request.label;
   if (!request.benchmark.empty()) return request.benchmark;
   return request.lpInput ? "<lp>" : "<source>";
-}
-
-/// Exact integral objective of a solved ILP, preferring the checked
-/// 64-bit recomputation over the lossy double.
-std::int64_t exactObjective(const ilp::IlpSolution& solution) {
-  if (solution.objectiveIsExact) return solution.objectiveExact;
-  return static_cast<std::int64_t>(std::llround(solution.objective));
-}
-
-/// A root relaxation bound rounded away from the optimum: up for a
-/// maximization, down for a minimization, saturating at the int64 edges.
-std::int64_t outwardBound(double relaxation, bool maximize) {
-  constexpr double kInt64Edge = 9.2e18;  // doubles beyond here can't narrow
-  const double rounded = maximize ? std::ceil(relaxation)
-                                  : std::floor(relaxation);
-  if (rounded >= kInt64Edge) return std::numeric_limits<std::int64_t>::max();
-  if (rounded <= -kInt64Edge) return std::numeric_limits<std::int64_t>::min();
-  return static_cast<std::int64_t>(rounded);
 }
 
 /// Digest of a stand-alone LP problem: sense, variable count, canonical
@@ -63,15 +39,123 @@ void digestProblem(DigestBuilder* builder, const lp::Problem& problem) {
     builder->f64(term.coeff);
   }
   builder->f64(objective.constant());
-  std::vector<std::string> rows;
-  rows.reserve(problem.constraints().size());
-  for (const lp::Constraint& c : problem.constraints()) {
-    rows.push_back(canonicalRowKey(c));
-  }
-  std::sort(rows.begin(), rows.end());
-  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+  const std::vector<std::string> rows =
+      canonicalRowKeys(problem.constraints());
   builder->u32(static_cast<std::uint32_t>(rows.size()));
   for (const std::string& row : rows) builder->str(row);
+}
+
+/// Answers from the bound cache when the full digest hits; otherwise
+/// runs `solve` for the estimate and stores the result (the cache admits
+/// only exact ones).
+template <typename Solve>
+AnalysisResult throughBoundCache(SolveCache& cache,
+                                 const AnalysisRequest& request,
+                                 obs::RequestTelemetry* telemetry,
+                                 Clock::time_point start,
+                                 AnalysisResult result, Solve&& solve) {
+  const bool useCache =
+      cache.enabled() && request.cachePolicy != CachePolicy::Bypass;
+  if (useCache) {
+    auto lookupTimer =
+        obs::timeStage(telemetry, obs::RequestStage::CacheLookup);
+    std::optional<CachedBound> hit = cache.lookupBound(result.fullDigest);
+    lookupTimer.stop();
+    if (hit) {
+      // An identical ILP system was solved and verified before: the
+      // cached interval IS the answer (equal full digests => equal
+      // systems => equal bounds), so no solve runs.
+      result.cacheHit = true;
+      result.estimate.bound = hit->bound;
+      result.estimate.stats.constraintSets = hit->constraintSets;
+      result.solveMicros = hit->solveWallMicros;
+      result.wallMicros = microsSince(start);
+      return result;
+    }
+  }
+
+  const Clock::time_point solveStart = Clock::now();
+  {
+    auto solveTimer = obs::timeStage(telemetry, obs::RequestStage::Solve);
+    result.estimate = solve();
+  }
+  result.solveMicros = microsSince(solveStart);
+
+  if (useCache && request.cachePolicy == CachePolicy::ReadWrite) {
+    auto storeTimer = obs::timeStage(telemetry, obs::RequestStage::CacheStore);
+    cache.insert(result.fullDigest, result.structuralDigest, result.estimate,
+                 result.solveMicros);
+  }
+  result.wallMicros = microsSince(start);
+  return result;
+}
+
+/// One ILP per LP-format problem, each settled on the set ladder.  Worst
+/// case from the maximizations, best case from the minimizations; a
+/// one-sided system falls back to the extremes of the side it has, so
+/// the interval always encloses every optimum seen.  A side on which no
+/// problem yielded a bound is unbounded.
+Estimate solveLpProblems(const std::vector<lp::Problem>& problems,
+                         const SolveControl& control) {
+  // An LP-format objective need not have integral coefficients, so
+  // relaxation bounds round outward.  No structural bound stands behind
+  // an lp-format problem: one over the memory ceiling, or stopped
+  // before its root relaxation, fails and contributes nothing.
+  const SetSolver solver(control, Clock::now(),
+                         {ilp::IlpOptions{}, Rounding::Outward, true});
+  Estimate estimate;
+  estimate.stats.constraintSets = static_cast<int>(problems.size());
+  std::vector<std::int64_t> maxima;
+  std::vector<std::int64_t> minima;
+  for (std::size_t i = 0; i < problems.size(); ++i) {
+    const lp::Problem& problem = problems[i];
+    const Side side =
+        problem.sense() == lp::Sense::Maximize ? Side::Worst : Side::Best;
+    SetOutcome out;
+    out.record.setIndex = static_cast<int>(i);
+    if (std::optional<std::string> breach =
+            memoryCeilingBreach(problem, control.maxMemoryBytes)) {
+      solver.degradeSet(&out, ErrorCode::MemoryCeiling, "set",
+                        std::move(*breach));
+    } else {
+      const Clock::time_point ilpStart = Clock::now();
+      ilp::IlpSolution solution = ilp::solve(problem, solver.ilpOptions(&out));
+      if (solver.cancelled()) throw AnalysisError("analysis cancelled");
+      if (solution.status == ilp::IlpStatus::Infeasible ||
+          solution.status == ilp::IlpStatus::Unbounded) {
+        throw AnalysisError("lp input: problem " + std::to_string(i + 1) +
+                            " is " + ilp::ilpStatusStr(solution.status));
+      }
+      fillRecord(&out.slot(side), solution, microsSince(ilpStart));
+      out.record.wallMicros = out.slot(side).wallMicros;
+      solver.settle(&out, side, std::move(solution));
+    }
+    tally(&estimate.stats, out.record);
+    if (const std::optional<std::int64_t>& bound = out.side(side).bound) {
+      (side == Side::Worst ? maxima : minima).push_back(*bound);
+    }
+    for (SolveIssue& issue : out.issues) {
+      estimate.timedOut |= issue.code == ErrorCode::DeadlineExpired;
+      estimate.issues.push_back(std::move(issue));
+    }
+    estimate.setRecords.push_back(std::move(out.record));
+  }
+
+  const auto hasSense = [&](lp::Sense sense) {
+    return std::any_of(problems.begin(), problems.end(),
+                       [&](const lp::Problem& p) { return p.sense() == sense; });
+  };
+  const std::vector<std::int64_t>& hiSide =
+      hasSense(lp::Sense::Maximize) ? maxima : minima;
+  const std::vector<std::int64_t>& loSide =
+      hasSense(lp::Sense::Minimize) ? minima : maxima;
+  estimate.bound.hi = hiSide.empty()
+                          ? std::numeric_limits<std::int64_t>::max()
+                          : *std::max_element(hiSide.begin(), hiSide.end());
+  estimate.bound.lo = loSide.empty()
+                          ? std::numeric_limits<std::int64_t>::min()
+                          : *std::min_element(loSide.begin(), loSide.end());
+  return estimate;
 }
 
 }  // namespace
@@ -175,44 +259,13 @@ AnalysisResult AnalysisService::analyzeWith(
   result.fullDigest = digests.full;
   result.structuralDigest = digests.structural;
 
-  const bool useCache =
-      cache_.enabled() && request.cachePolicy != CachePolicy::Bypass;
-  if (useCache) {
-    auto lookupTimer =
-        obs::timeStage(telemetry, obs::RequestStage::CacheLookup);
-    std::optional<CachedBound> hit = cache_.lookupBound(digests.full);
-    lookupTimer.stop();
-    if (hit) {
-      // An identical ILP system was solved and verified before: the
-      // cached interval IS the answer (equal full digests => equal
-      // systems => equal bounds), so no solve runs.
-      result.cacheHit = true;
-      result.estimate.bound = hit->bound;
-      result.estimate.stats.constraintSets = hit->constraintSets;
-      result.solveMicros = hit->solveWallMicros;
-      result.wallMicros = microsSince(start);
-      return result;
-    }
-  }
-
   SolveControl control = request.control;
   if (control.tracer == nullptr && telemetry != nullptr) {
     control.tracer = telemetry->tracer();
   }
-  const Clock::time_point solveStart = Clock::now();
-  {
-    auto solveTimer = obs::timeStage(telemetry, obs::RequestStage::Solve);
-    result.estimate = analyzer.estimate(control);
-  }
-  result.solveMicros = microsSince(solveStart);
-
-  if (useCache && request.cachePolicy == CachePolicy::ReadWrite) {
-    auto storeTimer = obs::timeStage(telemetry, obs::RequestStage::CacheStore);
-    cache_.insert(digests.full, digests.structural, result.estimate,
-                  result.solveMicros);
-  }
-  result.wallMicros = microsSince(start);
-  return result;
+  return throughBoundCache(cache_, request, telemetry, start,
+                           std::move(result),
+                           [&] { return analyzer.estimate(control); });
 }
 
 AnalysisResult AnalysisService::analyzeParametricWith(
@@ -300,154 +353,9 @@ AnalysisResult AnalysisService::analyzeLp(
   // requests, so the structural key collapses onto the full key.
   result.structuralDigest = result.fullDigest;
 
-  const bool useCache =
-      cache_.enabled() && request.cachePolicy != CachePolicy::Bypass;
-  if (useCache) {
-    auto lookupTimer =
-        obs::timeStage(telemetry, obs::RequestStage::CacheLookup);
-    std::optional<CachedBound> hit = cache_.lookupBound(result.fullDigest);
-    lookupTimer.stop();
-    if (hit) {
-      result.cacheHit = true;
-      result.estimate.bound = hit->bound;
-      result.estimate.stats.constraintSets = hit->constraintSets;
-      result.solveMicros = hit->solveWallMicros;
-      result.wallMicros = microsSince(start);
-      return result;
-    }
-  }
-
-  const SolveControl& control = request.control;
-  const bool hasDeadline = control.deadline.count() != 0;
-  const Clock::time_point deadlineAt = Clock::now() + control.deadline;
-  ilp::IlpOptions ilpOptions;
-  if (control.maxNodes > 0) ilpOptions.maxNodes = control.maxNodes;
-  ilpOptions.lpOptions.presolve = control.presolve;
-  ilpOptions.interrupt = [&]() {
-    if (control.cancel != nullptr &&
-        control.cancel->load(std::memory_order_relaxed)) {
-      return true;
-    }
-    return hasDeadline && Clock::now() >= deadlineAt;
-  };
-
-  Estimate& estimate = result.estimate;
-  estimate.stats.constraintSets = static_cast<int>(problems.size());
-  // Bounds each problem contributes, exact or relaxed, by sense.
-  std::vector<std::int64_t> maxima;
-  std::vector<std::int64_t> minima;
-  const Clock::time_point solveStart = Clock::now();
-  auto solveTimer = obs::timeStage(telemetry, obs::RequestStage::Solve);
-
-  for (std::size_t i = 0; i < problems.size(); ++i) {
-    const lp::Problem& problem = problems[i];
-    if (std::optional<std::string> breach =
-            memoryCeilingBreach(problem, control.maxMemoryBytes)) {
-      // No structural bound stands behind an lp-format problem, so one
-      // over the ceiling fails without a solve.
-      SetSolveRecord record;
-      record.setIndex = static_cast<int>(i);
-      record.verdict = SetVerdict::Failed;
-      record.issue = ErrorCode::MemoryCeiling;
-      estimate.stats.failedSets += 1;
-      estimate.issues.push_back(
-          {record.setIndex, record.issue, "set", std::move(*breach)});
-      estimate.setRecords.push_back(std::move(record));
-      continue;
-    }
-    const Clock::time_point ilpStart = Clock::now();
-    const ilp::IlpSolution solution = ilp::solve(problem, ilpOptions);
-    if (control.cancel != nullptr &&
-        control.cancel->load(std::memory_order_relaxed)) {
-      throw AnalysisError("analysis cancelled");
-    }
-    if (solution.status == ilp::IlpStatus::Infeasible ||
-        solution.status == ilp::IlpStatus::Unbounded) {
-      throw AnalysisError("lp input: problem " + std::to_string(i + 1) +
-                          " is " + ilp::ilpStatusStr(solution.status));
-    }
-
-    const bool maximize = problem.sense() == lp::Sense::Maximize;
-    SetSolveRecord record;
-    record.setIndex = static_cast<int>(i);
-    IlpSolveRecord ilpRecord;
-    ilpRecord.solved = true;
-    ilpRecord.feasible = solution.status == ilp::IlpStatus::Optimal;
-    ilpRecord.firstRelaxationIntegral = solution.firstRelaxationIntegral;
-    ilpRecord.counters = solution.stats;
-    ilpRecord.wallMicros = microsSince(ilpStart);
-
-    estimate.stats.ilpSolves += 1;
-    estimate.stats += solution.stats;
-    estimate.stats.allFirstRelaxationsIntegral =
-        estimate.stats.allFirstRelaxationsIntegral &&
-        solution.firstRelaxationIntegral;
-
-    if (ilpRecord.feasible) {
-      ilpRecord.objective = exactObjective(solution);
-      (maximize ? maxima : minima).push_back(ilpRecord.objective);
-      record.verdict = SetVerdict::Exact;
-    } else {
-      // Limit or Interrupted.  As on the analyzer's ladder, the root
-      // relaxation still bounds this problem, rounded outward (an
-      // LP-format objective need not have integral coefficients);
-      // without one the problem fails and contributes nothing.
-      const bool deadlineHit = hasDeadline && Clock::now() >= deadlineAt;
-      record.issue = deadlineHit ? ErrorCode::DeadlineExpired
-                                 : ErrorCode::NodeBudgetExhausted;
-      ilpRecord.degraded = true;
-      if (deadlineHit) estimate.timedOut = true;
-      if (solution.haveRelaxationBound) {
-        ilpRecord.fallbackBound = outwardBound(solution.relaxationBound,
-                                               maximize);
-        (maximize ? maxima : minima).push_back(ilpRecord.fallbackBound);
-        record.verdict = SetVerdict::Relaxed;
-        estimate.stats.relaxedSets += 1;
-      } else {
-        record.verdict = SetVerdict::Failed;
-        estimate.stats.failedSets += 1;
-      }
-      SolveIssue issue;
-      issue.setIndex = static_cast<int>(i);
-      issue.code = record.issue;
-      issue.phase = maximize ? "ilp-worst" : "ilp-best";
-      issue.detail = std::string("lp input: ") +
-                     ilp::ilpStatusStr(solution.status);
-      estimate.issues.push_back(std::move(issue));
-    }
-    (maximize ? record.worst : record.best) = ilpRecord;
-    record.wallMicros = ilpRecord.wallMicros;
-    estimate.setRecords.push_back(std::move(record));
-  }
-  solveTimer.stop();
-  result.solveMicros = microsSince(solveStart);
-
-  // Worst case from the maximization problems, best case from the
-  // minimizations; a one-sided system falls back to the extremes of the
-  // side it has, so the interval always encloses every optimum seen.  A
-  // side on which no problem yielded a bound is unbounded.
-  const auto hasSense = [&](lp::Sense sense) {
-    return std::any_of(problems.begin(), problems.end(),
-                       [&](const lp::Problem& p) { return p.sense() == sense; });
-  };
-  const std::vector<std::int64_t>& hiSide =
-      hasSense(lp::Sense::Maximize) ? maxima : minima;
-  const std::vector<std::int64_t>& loSide =
-      hasSense(lp::Sense::Minimize) ? minima : maxima;
-  estimate.bound.hi = hiSide.empty()
-                          ? std::numeric_limits<std::int64_t>::max()
-                          : *std::max_element(hiSide.begin(), hiSide.end());
-  estimate.bound.lo = loSide.empty()
-                          ? std::numeric_limits<std::int64_t>::min()
-                          : *std::min_element(loSide.begin(), loSide.end());
-
-  if (useCache && request.cachePolicy == CachePolicy::ReadWrite) {
-    auto storeTimer = obs::timeStage(telemetry, obs::RequestStage::CacheStore);
-    cache_.insert(result.fullDigest, result.structuralDigest, estimate,
-                  result.solveMicros);
-  }
-  result.wallMicros = microsSince(start);
-  return result;
+  return throughBoundCache(
+      cache_, request, telemetry, start, std::move(result),
+      [&] { return solveLpProblems(problems, request.control); });
 }
 
 }  // namespace cinderella::ipet

@@ -1,14 +1,14 @@
 #include "cinderella/ipet/analyzer.hpp"
 
 #include <algorithm>
-#include <atomic>
+#include <array>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <limits>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -16,13 +16,12 @@
 
 #include "cinderella/cfg/callgraph.hpp"
 #include "cinderella/ipet/formula.hpp"
-#include "cinderella/lp/feasible_lp.hpp"
 #include "cinderella/lp/lp_format.hpp"
 #include "cinderella/cfg/dominators.hpp"
 #include "cinderella/obs/trace.hpp"
 #include "cinderella/support/error.hpp"
-#include "cinderella/support/fault_injector.hpp"
 #include "cinderella/support/thread_pool.hpp"
+#include "set_solve.hpp"
 
 namespace cinderella::ipet {
 
@@ -975,26 +974,11 @@ std::vector<std::string> Analyzer::referencedParams() const {
   return names;
 }
 
-lp::Problem Analyzer::materializeSet(const BaseProblem& base,
-                                     const ConjunctiveSet& set) const {
-  lp::Problem p = base.problem;
-  for (const auto& sc : set) p.addConstraint(resolveSymConstraint(sc));
-  return p;
-}
-
-std::vector<std::string> Analyzer::canonicalSetRows(
+std::vector<lp::Constraint> Analyzer::resolveSet(
     const ConjunctiveSet& set) const {
-  std::vector<std::string> rows;
+  std::vector<lp::Constraint> rows;
   rows.reserve(set.size());
-  for (const auto& sc : set) {
-    // canonicalRowKey applies the same canonicalization
-    // Problem::addConstraint does (merged/sorted terms, constant folded
-    // into the rhs) plus GreaterEq-to-LessEq negation, in a byte-stable
-    // little-endian encoding shared with the SolveCache digests.
-    rows.push_back(canonicalRowKey(resolveSymConstraint(sc)));
-  }
-  std::sort(rows.begin(), rows.end());
-  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+  for (const auto& sc : set) rows.push_back(resolveSymConstraint(sc));
   return rows;
 }
 
@@ -1004,14 +988,8 @@ void Analyzer::hashStructural(DigestBuilder* builder,
   builder->u32(static_cast<std::uint32_t>(base.problem.numVars()));
   // Base rows, order-normalized like a constraint set's: the digest must
   // not depend on emission order, only on the region they carve.
-  std::vector<std::string> baseRows;
-  baseRows.reserve(base.problem.constraints().size());
-  for (const auto& c : base.problem.constraints()) {
-    baseRows.push_back(canonicalRowKey(c));
-  }
-  std::sort(baseRows.begin(), baseRows.end());
-  baseRows.erase(std::unique(baseRows.begin(), baseRows.end()),
-                 baseRows.end());
+  const std::vector<std::string> baseRows =
+      canonicalRowKeys(base.problem.constraints());
   builder->tag('B');
   builder->u32(static_cast<std::uint32_t>(baseRows.size()));
   for (const auto& row : baseRows) builder->str(row);
@@ -1023,6 +1001,33 @@ void Analyzer::hashStructural(DigestBuilder* builder,
   for (const double c : base.bestCoeff) builder->f64(c);
 }
 
+namespace {
+
+/// Hashes one key per constraint set, order-normalized: the merged
+/// interval does not depend on DNF expansion order.
+void hashSetKeys(DigestBuilder* builder, char tag,
+                 std::vector<std::vector<std::string>> setKeys) {
+  std::sort(setKeys.begin(), setKeys.end());
+  setKeys.erase(std::unique(setKeys.begin(), setKeys.end()), setKeys.end());
+  builder->tag(tag);
+  builder->u32(static_cast<std::uint32_t>(setKeys.size()));
+  for (const auto& rows : setKeys) {
+    builder->u32(static_cast<std::uint32_t>(rows.size()));
+    for (const auto& row : rows) builder->str(row);
+  }
+}
+
+/// The objective over every variable with a nonzero coefficient.
+lp::LinearExpr objectiveOf(const std::vector<double>& coeff) {
+  lp::LinearExpr obj;
+  for (std::size_t v = 0; v < coeff.size(); ++v) {
+    if (coeff[v] != 0.0) obj.add(static_cast<int>(v), coeff[v]);
+  }
+  return obj;
+}
+
+}  // namespace
+
 Analyzer::SystemDigests Analyzer::systemDigests() const {
   const BaseProblem base = buildBaseProblem();
   DigestBuilder builder;
@@ -1032,20 +1037,12 @@ Analyzer::SystemDigests Analyzer::systemDigests() const {
   out.structural = builder.finish();
 
   // Full digest: the structural prefix plus every expanded constraint
-  // set's canonical rows.  The set list itself is order-normalized (the
-  // merged interval does not depend on DNF expansion order).
-  const Dnf combined = combineUserConstraints();
+  // set's canonical rows.
   std::vector<std::vector<std::string>> setKeys;
-  setKeys.reserve(combined.size());
-  for (const auto& set : combined) setKeys.push_back(canonicalSetRows(set));
-  std::sort(setKeys.begin(), setKeys.end());
-  setKeys.erase(std::unique(setKeys.begin(), setKeys.end()), setKeys.end());
-  builder.tag('S');
-  builder.u32(static_cast<std::uint32_t>(setKeys.size()));
-  for (const auto& rows : setKeys) {
-    builder.u32(static_cast<std::uint32_t>(rows.size()));
-    for (const auto& row : rows) builder.str(row);
+  for (const auto& set : combineUserConstraints()) {
+    setKeys.push_back(canonicalRowKeys(resolveSet(set)));
   }
+  hashSetKeys(&builder, 'S', std::move(setKeys));
   out.full = builder.finish();
   return out;
 }
@@ -1087,10 +1084,8 @@ Digest Analyzer::parametricDigest(const std::vector<ParamDecl>& params) const {
   const BaseProblem base = buildBaseProblem();
   DigestBuilder builder;
   hashStructural(&builder, base);
-  const Dnf combined = combineUserConstraints();
   std::vector<std::vector<std::string>> setKeys;
-  setKeys.reserve(combined.size());
-  for (const auto& set : combined) {
+  for (const auto& set : combineUserConstraints()) {
     std::vector<std::string> rows;
     rows.reserve(set.size());
     for (const auto& sc : set) rows.push_back(symbolicRowKey(sc));
@@ -1098,14 +1093,7 @@ Digest Analyzer::parametricDigest(const std::vector<ParamDecl>& params) const {
     rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
     setKeys.push_back(std::move(rows));
   }
-  std::sort(setKeys.begin(), setKeys.end());
-  setKeys.erase(std::unique(setKeys.begin(), setKeys.end()), setKeys.end());
-  builder.tag('Y');
-  builder.u32(static_cast<std::uint32_t>(setKeys.size()));
-  for (const auto& rows : setKeys) {
-    builder.u32(static_cast<std::uint32_t>(rows.size()));
-    for (const auto& row : rows) builder.str(row);
-  }
+  hashSetKeys(&builder, 'Y', std::move(setKeys));
   builder.tag('P');
   builder.u32(static_cast<std::uint32_t>(params.size()));
   for (const auto& p : params) {
@@ -1122,14 +1110,9 @@ std::string Analyzer::exportWorstCaseIlp() const {
   std::string out;
   int index = 0;
   for (const auto& set : combined) {
-    lp::Problem p = materializeSet(base, set);
-    lp::LinearExpr obj;
-    for (std::size_t v = 0; v < base.worstCoeff.size(); ++v) {
-      if (base.worstCoeff[v] != 0.0) {
-        obj.add(static_cast<int>(v), base.worstCoeff[v]);
-      }
-    }
-    p.setObjective(std::move(obj), lp::Sense::Maximize);
+    lp::Problem p = base.problem;
+    for (const lp::Constraint& row : resolveSet(set)) p.addConstraint(row);
+    p.setObjective(objectiveOf(base.worstCoeff), lp::Sense::Maximize);
     out += "\\ constraint set " + std::to_string(index++) + " of " +
            std::to_string(combined.size()) + "\n";
     lp::LpFormatOptions fmt;
@@ -1144,24 +1127,23 @@ Estimate Analyzer::estimate(const SolveControl& control) const {
   obs::Tracer* const tracer = control.tracer;
   obs::Span estimateSpan(tracer, "estimate", "ipet");
 
-  const auto microsSince = [](std::chrono::steady_clock::time_point t0) {
-    return std::chrono::duration_cast<std::chrono::microseconds>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-  };
-
   BaseProblem base = [&] {
     obs::Span span(tracer, "build-base-problem", "ipet");
     return buildBaseProblem();
   }();
 
-  // Combine all user constraints into one DNF (paper III-D).
-  const Dnf combined = [&] {
+  // Combine all user constraints into one DNF (paper III-D) and resolve
+  // every set's rows once.
+  std::vector<std::vector<lp::Constraint>> setRows;
+  {
     obs::Span span(tracer, "combine-constraints", "ipet");
-    return combineUserConstraints();
-  }();
+    for (const auto& set : combineUserConstraints()) {
+      setRows.push_back(resolveSet(set));
+    }
+  }
+  const std::size_t numSets = setRows.size();
 
-  estimateSpan.arg("sets", static_cast<int>(combined.size()))
+  estimateSpan.arg("sets", static_cast<int>(numSets))
       .arg("cache-mode", std::string(cacheModeStr(options_.cacheMode)))
       .arg("contexts", static_cast<int>(contexts_.size()))
       .arg("flow-vars", numFlowVars_);
@@ -1177,18 +1159,18 @@ Estimate Analyzer::estimate(const SolveControl& control) const {
     int sharedWith = -1;  ///< scheduled set whose solve covers this one
     bool dominated = false;
   };
-  std::vector<SetPlan> plan(combined.size());
-  int scheduledSets = static_cast<int>(combined.size());
-  if (combined.size() > 1) {
+  std::vector<SetPlan> plan(numSets);
+  int scheduledSets = static_cast<int>(numSets);
+  if (numSets > 1) {
     obs::Span dedupSpan(tracer, "dedup-sets", "ipet");
-    std::vector<std::vector<std::string>> keys(combined.size());
-    for (std::size_t i = 0; i < combined.size(); ++i) {
-      keys[i] = canonicalSetRows(combined[i]);
+    std::vector<std::vector<std::string>> keys(numSets);
+    for (std::size_t i = 0; i < numSets; ++i) {
+      keys[i] = canonicalRowKeys(setRows[i]);
     }
     // Identical sets: the first occurrence is the representative.
     std::map<std::vector<std::string>, int> firstByKey;
     std::vector<int> reps;
-    for (std::size_t i = 0; i < combined.size(); ++i) {
+    for (std::size_t i = 0; i < numSets; ++i) {
       const auto [it, inserted] =
           firstByKey.try_emplace(keys[i], static_cast<int>(i));
       if (inserted) {
@@ -1241,429 +1223,21 @@ Estimate Analyzer::estimate(const SolveControl& control) const {
   }
   estimateSpan.arg("scheduled", scheduledSets);
 
-  ilp::IlpOptions ilpOptions = options_.ilpOptions;
-  if (control.maxNodes > 0) ilpOptions.maxNodes = control.maxNodes;
-  ilpOptions.lpOptions.presolve = control.presolve;
-
-  auto cancelled = [&control] {
-    return control.cancel != nullptr &&
-           control.cancel->load(std::memory_order_relaxed);
-  };
-  auto expired = [&control, startTime] {
-    // Fault-injection seam: a DeadlineClock fault makes the deadline
-    // report "expired" spuriously, driving the partial-result path
-    // without real waiting.
-    if (support::FaultInjector* const injector = support::faultInjector()) {
-      if (injector->shouldFault(support::FaultSite::DeadlineClock)) {
-        return true;
-      }
-    }
-    return control.deadline.count() != 0 &&
-           std::chrono::steady_clock::now() - startTime >= control.deadline;
-  };
-  // A deadline (or cancellation) also stops a running ILP between nodes,
-  // so a single slow set cannot blow the whole budget.
-  if (control.deadline.count() != 0 || control.cancel != nullptr ||
-      support::faultInjector() != nullptr) {
-    ilpOptions.interrupt = [cancelled, expired] {
-      return cancelled() || expired();
-    };
-  }
-
-  auto makeObjective = [](const std::vector<double>& coeff) {
-    lp::LinearExpr obj;
-    for (std::size_t v = 0; v < coeff.size(); ++v) {
-      if (coeff[v] != 0.0) obj.add(static_cast<int>(v), coeff[v]);
-    }
-    return obj;
-  };
-
-  // Sound integer rounding for relaxation bounds.  A max-ILP's LP
-  // relaxation over-estimates its optimum, so flooring (plus the LP
-  // tolerance) keeps the upper bound sound; symmetrically for min.
-  constexpr double kRelaxTol = 1e-6;
-  constexpr double kInt64Edge = 9.2e18;  // doubles beyond here can't narrow
-  auto soundUpper = [&](double v) {
-    if (v >= kInt64Edge) return std::numeric_limits<std::int64_t>::max();
-    if (v <= -kInt64Edge) return std::numeric_limits<std::int64_t>::min();
-    return static_cast<std::int64_t>(std::floor(v + kRelaxTol));
-  };
-  auto soundLower = [&](double v) {
-    if (v >= kInt64Edge) return std::numeric_limits<std::int64_t>::max();
-    if (v <= -kInt64Edge) return std::numeric_limits<std::int64_t>::min();
-    return static_cast<std::int64_t>(std::ceil(v - kRelaxTol));
-  };
-
-  // Structural fallback: the base problem's own LP relaxation.  Every
-  // constraint set's feasible region is contained in the base region, so
-  // its max (min) relaxation bounds every set's worst (best) ILP from
-  // the sound side.  Computed lazily at most once per estimate() and
-  // shared across worker threads.
-  struct Structural {
-    std::once_flag once;
-    bool haveWorst = false;
-    bool haveBest = false;
-    std::int64_t worst = 0;
-    std::int64_t best = 0;
-  };
-  Structural structural;
-  auto ensureStructural = [&]() -> const Structural& {
-    std::call_once(structural.once, [&] {
-      obs::Span span(tracer, "structural-fallback", "solve");
-      auto solveOne = [&](const std::vector<double>& coeff, lp::Sense sense,
-                          bool* have, std::int64_t* bound) {
-        try {
-          lp::Problem p = base.problem;
-          p.setObjective(makeObjective(coeff), sense);
-          const lp::Solution sol = lp::solve(p, ilpOptions.lpOptions);
-          if (sol.status == lp::SolveStatus::Optimal) {
-            *bound = sense == lp::Sense::Maximize ? soundUpper(sol.objective)
-                                                  : soundLower(sol.objective);
-            *have = true;
-          }
-        } catch (...) {
-          // Even the fallback can fault (e.g. under injection); the set
-          // that needed it is then marked Failed.
-        }
-      };
-      solveOne(base.worstCoeff, lp::Sense::Maximize, &structural.haveWorst,
-               &structural.worst);
-      solveOne(base.bestCoeff, lp::Sense::Minimize, &structural.haveBest,
-               &structural.best);
-    });
-    return structural;
-  };
-
-  // One independent task per conjunctive constraint set: materialize,
-  // LP-probe for nullness, then solve the max (worst) and min (best)
-  // ILPs.  Outcomes are keyed by set index so the merge below is
-  // deterministic regardless of completion order or thread count.
-  //
-  // Fault isolation: a set hitting the deadline, node budget, numeric
-  // breakdown, or an injected fault never aborts the whole estimate.  It
-  // walks the degradation ladder instead — its own LP-relaxation bound
-  // (Relaxed), then the shared base-problem bound (Structural), then
-  // Failed — so completed sets are never lost.  Only user/model errors
-  // (AnalysisError) still abort.
-  struct SetOutcome {
-    bool started = false;  ///< task ran at all (false: lost to a fault)
-    bool skipped = false;  ///< cancellation observed before solving
-    bool haveWorst = false;
-    bool haveBest = false;
-    bool worstExact = false;  ///< bound is a proven ILP optimum
-    bool bestExact = false;
-    std::int64_t worstBound = 0;
-    std::int64_t bestBound = 0;
-    std::vector<double> worstValues;
-    std::vector<double> bestValues;
-    /// Per-set observability record; every field except the wall-clock
-    /// timings is deterministic across thread counts.
-    SetSolveRecord record;
-    std::vector<SolveIssue> issues;
-    std::exception_ptr error;  ///< user/model error — rethrown at merge
-  };
-  std::vector<SetOutcome> outcomes(combined.size());
-  std::atomic<bool> sawDeadline{false};
-
-  auto noteIssue = [](SetOutcome& out, ErrorCode code, const char* phase,
-                      std::string detail) {
-    if (out.record.issue == ErrorCode::None) out.record.issue = code;
-    out.issues.push_back(
-        {out.record.setIndex, code, phase, std::move(detail)});
-  };
-  auto raiseVerdict = [](SetOutcome& out, SetVerdict verdict) {
-    if (static_cast<int>(verdict) > static_cast<int>(out.record.verdict)) {
-      out.record.verdict = verdict;
-    }
-  };
-  // Last ladder rung before Failed: the shared structural bound.
-  auto applyStructural = [&](SetOutcome& out, bool worstSide) {
-    const Structural& s = ensureStructural();
-    const bool have = worstSide ? s.haveWorst : s.haveBest;
-    if (!have) {
-      raiseVerdict(out, SetVerdict::Failed);
-      return;
-    }
-    raiseVerdict(out, SetVerdict::Structural);
-    IlpSolveRecord& slot = worstSide ? out.record.worst : out.record.best;
-    slot.degraded = true;
-    slot.fallbackBound = worstSide ? s.worst : s.best;
-    if (worstSide) {
-      out.haveWorst = true;
-      out.worstBound = s.worst;
-    } else {
-      out.haveBest = true;
-      out.bestBound = s.best;
-    }
-  };
-
-  auto solveSet = [&](std::size_t index) noexcept {
-    SetOutcome& out = outcomes[index];
-    out.started = true;
-    SetSolveRecord& rec = out.record;
-    rec.setIndex = static_cast<int>(index);
-    rec.userConstraints = static_cast<int>(combined[index].size());
-    const auto setStart = std::chrono::steady_clock::now();
-    // This span is also the thread-pool task lifetime: one task per set.
-    obs::Span setSpan(tracer, "set-solve", "solve");
-    setSpan.arg("set", static_cast<int>(index));
-    try {
-      if (cancelled()) {
-        out.skipped = true;
-        setSpan.arg("verdict", std::string("skipped"));
-        rec.wallMicros = microsSince(setStart);
-        return;
-      }
-      if (expired()) {
-        // Degrade instead of aborting: this set falls back to the shared
-        // structural bound; already-completed sets stay untouched.
-        sawDeadline.store(true, std::memory_order_relaxed);
-        noteIssue(out, ErrorCode::DeadlineExpired, "set",
-                  "deadline expired before this set was solved");
-        applyStructural(out, /*worstSide=*/true);
-        applyStructural(out, /*worstSide=*/false);
-        setSpan.arg("verdict", std::string(setVerdictStr(rec.verdict)));
-        rec.wallMicros = microsSince(setStart);
-        return;
-      }
-      lp::Problem p = materializeSet(base, combined[index]);
-      // Over the memory ceiling the set degrades to the sound structural
-      // bound — same shape as a deadline expiry, so a hostile or runaway
-      // request can never balloon the process.
-      if (std::optional<std::string> breach =
-              memoryCeilingBreach(p, control.maxMemoryBytes)) {
-        noteIssue(out, ErrorCode::MemoryCeiling, "set", std::move(*breach));
-        applyStructural(out, /*worstSide=*/true);
-        applyStructural(out, /*worstSide=*/false);
-        setSpan.arg("verdict", std::string(setVerdictStr(rec.verdict)));
-        rec.wallMicros = microsSince(setStart);
-        return;
-      }
-
-      // One set LP shared by the probe, worst and best: presolve and
-      // phase 1 run once, and each ILP reprices a copy of the feasible
-      // tableau.  Any exception while it is in use discards it, so a
-      // later side rebuilds it rather than starting from a half-pivoted
-      // tableau.  Its presolve counters are charged, once, to the first
-      // ILP that uses it; its phase-1 pivots are the probe's.
-      std::optional<lp::FeasibleLp> region;
-      lp::SolverCounters unchargedPresolve;
-      auto buildRegion = [&] {
-        region.emplace(p, ilpOptions.lpOptions);
-        rec.probePivots += region->phase1Counters().totalPivots;
-        unchargedPresolve = region->presolveCounters();
-      };
-
-      // Null-set pruning: phase 1 is the LP feasibility probe (paper
-      // III-D).
-      {
-        obs::Span probeSpan(tracer, "lp-probe", "solve");
-        probeSpan.arg("set", static_cast<int>(index));
-        const auto probeStart = std::chrono::steady_clock::now();
-        try {
-          buildRegion();
-          rec.probeMicros = microsSince(probeStart);
-          const bool null = region->status() == lp::SolveStatus::Infeasible;
-          probeSpan.arg("pivots", rec.probePivots)
-              .arg("verdict", std::string(null ? "null" : "feasible"));
-          if (null && !options_.disableNullSetPruning) {
-            rec.pruned = true;
-            setSpan.arg("verdict", std::string("pruned"));
-            rec.wallMicros = microsSince(setStart);
-            return;
-          }
-        } catch (const InjectedFaultError& e) {
-          // Pruning is only an optimization; the ILPs rebuild the set LP.
-          rec.probeMicros = microsSince(probeStart);
-          noteIssue(out, ErrorCode::InjectedFault, "probe", e.what());
-          probeSpan.arg("verdict", std::string("faulted"));
-        } catch (const SolverError& e) {
-          rec.probeMicros = microsSince(probeStart);
-          noteIssue(out, ErrorCode::Internal, "probe", e.what());
-          probeSpan.arg("verdict", std::string("faulted"));
-        }
-      }
-
-      // One ILP per objective; fills `slot` and traces the solve.
-      auto runIlp = [&](lp::Problem& problem, const char* spanName,
-                        IlpSolveRecord* slot) {
-        obs::Span ilpSpan(tracer, spanName, "solve");
-        ilpSpan.arg("set", static_cast<int>(index));
-        const auto ilpStart = std::chrono::steady_clock::now();
-        if (!region) buildRegion();
-        ilp::IlpSolution solution = ilp::solve(problem, *region, ilpOptions);
-        solution.stats += std::exchange(unchargedPresolve, {});
-        slot->solved = true;
-        slot->feasible = (solution.status == ilp::IlpStatus::Optimal);
-        slot->firstRelaxationIntegral = solution.firstRelaxationIntegral;
-        slot->counters = solution.stats;
-        slot->wallMicros = microsSince(ilpStart);
-        if (slot->feasible) {
-          // Prefer the checked integer recomputation: the double
-          // objective silently loses precision past 2^53.
-          slot->objective =
-              solution.objectiveIsExact
-                  ? solution.objectiveExact
-                  : static_cast<std::int64_t>(std::llround(solution.objective));
-        }
-        ilpSpan.arg("verdict", std::string(ilp::ilpStatusStr(solution.status)))
-            .arg("nodes", solution.stats.nodesExpanded)
-            .arg("lp-calls", solution.stats.lpCalls)
-            .arg("pivots", solution.stats.totalPivots);
-        if (slot->feasible) ilpSpan.arg("objective", slot->objective);
-        return solution;
-      };
-
-      // Degrades one side to the set's own root LP-relaxation bound
-      // after the integer solve died mid-flight; Structural beyond that.
-      auto relaxFromOwnLp = [&](lp::Problem& problem, bool worstSide) {
-        try {
-          const lp::Solution sol = lp::solve(problem, ilpOptions.lpOptions);
-          rec.fallbackPivots += sol.counters.totalPivots;
-          if (sol.status == lp::SolveStatus::Infeasible) {
-            return;  // provably empty set: nothing to bound, and soundly so
-          }
-          if (sol.status == lp::SolveStatus::Optimal) {
-            const std::int64_t bound = worstSide ? soundUpper(sol.objective)
-                                                 : soundLower(sol.objective);
-            IlpSolveRecord& slot = worstSide ? rec.worst : rec.best;
-            slot.degraded = true;
-            slot.fallbackBound = bound;
-            raiseVerdict(out, SetVerdict::Relaxed);
-            if (worstSide) {
-              out.haveWorst = true;
-              out.worstBound = bound;
-            } else {
-              out.haveBest = true;
-              out.bestBound = bound;
-            }
-            return;
-          }
-        } catch (...) {
-          // fall through to the structural rung
-        }
-        applyStructural(out, worstSide);
-      };
-
-      // Classifies a finished-but-not-optimal ILP side and walks the
-      // ladder.  Returns via out/rec side effects.
-      auto settleSide = [&](ilp::IlpSolution& solution, IlpSolveRecord* slot,
-                            bool worstSide, const char* phase) {
-        if (solution.status == ilp::IlpStatus::Optimal) {
-          if (worstSide) {
-            out.haveWorst = true;
-            out.worstExact = !solution.objectiveSaturated;
-            out.worstBound = slot->objective;
-            out.worstValues = std::move(solution.values);
-          } else {
-            out.haveBest = true;
-            out.bestExact = !solution.objectiveSaturated;
-            out.bestBound = slot->objective;
-            out.bestValues = std::move(solution.values);
-          }
-          if (solution.objectiveSaturated) {
-            // The true objective lies beyond int64; the saturated value
-            // is reported as a (representation-limited) relaxed bound.
-            noteIssue(out, ErrorCode::NumericOverflow, phase,
-                      "objective exceeds 64-bit range; bound saturated");
-            raiseVerdict(out, SetVerdict::Relaxed);
-            slot->degraded = true;
-            slot->fallbackBound = slot->objective;
-          }
-          return;
-        }
-        if (solution.status == ilp::IlpStatus::Infeasible) {
-          return;  // genuinely empty on this side; contributes nothing
-        }
-        // Limit or Interrupted: classify the budget that ran out.
-        ErrorCode code = ErrorCode::PivotLimit;
-        if (solution.status == ilp::IlpStatus::Interrupted) {
-          code = cancelled() ? ErrorCode::Cancelled : ErrorCode::DeadlineExpired;
-          if (code == ErrorCode::DeadlineExpired) {
-            sawDeadline.store(true, std::memory_order_relaxed);
-          }
-        } else if (solution.stats.nodesExpanded >= ilpOptions.maxNodes) {
-          code = ErrorCode::NodeBudgetExhausted;
-        }
-        noteIssue(out, code, phase,
-                  std::string("integer solve stopped: ") +
-                      ilp::ilpStatusStr(solution.status));
-        if (solution.haveRelaxationBound) {
-          const std::int64_t bound = worstSide
-                                         ? soundUpper(solution.relaxationBound)
-                                         : soundLower(solution.relaxationBound);
-          slot->degraded = true;
-          slot->fallbackBound = bound;
-          raiseVerdict(out, SetVerdict::Relaxed);
-          if (worstSide) {
-            out.haveWorst = true;
-            out.worstBound = bound;
-          } else {
-            out.haveBest = true;
-            out.bestBound = bound;
-          }
-        } else {
-          applyStructural(out, worstSide);
-        }
-      };
-
-      // Worst case: maximize all-miss costs.
-      p.setObjective(makeObjective(base.worstCoeff), lp::Sense::Maximize);
-      try {
-        ilp::IlpSolution worst = runIlp(p, "ilp-worst", &rec.worst);
-        if (worst.status == ilp::IlpStatus::Unbounded) {
-          throw AnalysisError(
-              "worst-case ILP is unbounded — a loop is missing its bound");
-        }
-        settleSide(worst, &rec.worst, /*worstSide=*/true, "ilp-worst");
-      } catch (const InjectedFaultError& e) {
-        region.reset();
-        noteIssue(out, ErrorCode::InjectedFault, "ilp-worst", e.what());
-        relaxFromOwnLp(p, /*worstSide=*/true);
-      } catch (const SolverError& e) {
-        region.reset();
-        noteIssue(out, ErrorCode::Internal, "ilp-worst", e.what());
-        relaxFromOwnLp(p, /*worstSide=*/true);
-      }
-
-      // Best case: minimize all-hit costs.
-      p.setObjective(makeObjective(base.bestCoeff), lp::Sense::Minimize);
-      try {
-        ilp::IlpSolution best = runIlp(p, "ilp-best", &rec.best);
-        settleSide(best, &rec.best, /*worstSide=*/false, "ilp-best");
-      } catch (const InjectedFaultError& e) {
-        region.reset();
-        noteIssue(out, ErrorCode::InjectedFault, "ilp-best", e.what());
-        relaxFromOwnLp(p, /*worstSide=*/false);
-      } catch (const SolverError& e) {
-        region.reset();
-        noteIssue(out, ErrorCode::Internal, "ilp-best", e.what());
-        relaxFromOwnLp(p, /*worstSide=*/false);
-      }
-
-      setSpan.arg("verdict", std::string(setVerdictStr(rec.verdict)));
-      rec.wallMicros = microsSince(setStart);
-    } catch (const AnalysisError&) {
-      // User/model error (unbounded ILP, bad constraint): still aborts
-      // the whole estimate — degradation must not mask a broken model.
-      out.error = std::current_exception();
-      rec.wallMicros = microsSince(setStart);
-    } catch (const std::exception& e) {
-      // Anything else is absorbed: degrade the unresolved sides.
-      noteIssue(out,
-                dynamic_cast<const InjectedFaultError*>(&e) != nullptr
-                    ? ErrorCode::InjectedFault
-                    : ErrorCode::Internal,
-                "set", e.what());
-      if (!out.haveWorst) applyStructural(out, /*worstSide=*/true);
-      if (!out.haveBest) applyStructural(out, /*worstSide=*/false);
-      rec.wallMicros = microsSince(setStart);
-    } catch (...) {
-      noteIssue(out, ErrorCode::Internal, "set", "unknown exception");
-      if (!out.haveWorst) applyStructural(out, /*worstSide=*/true);
-      if (!out.haveBest) applyStructural(out, /*worstSide=*/false);
-      rec.wallMicros = microsSince(setStart);
-    }
+  // One independent task per scheduled set (set_solve.hpp): probe, then
+  // the worst and best ILPs, each walking the degradation ladder on a
+  // fault or an exhausted budget.  Outcomes are keyed by set index so
+  // the merge below is deterministic regardless of completion order or
+  // thread count.
+  const std::array<lp::LinearExpr, 2> objectives{
+      objectiveOf(base.worstCoeff), objectiveOf(base.bestCoeff)};
+  const SetSolver solver(
+      control, startTime,
+      {options_.ilpOptions, Rounding::IntegralObjective,
+       !options_.disableNullSetPruning},
+      &base.problem, &objectives);
+  std::vector<SetOutcome> outcomes(numSets);
+  auto solveSet = [&](std::size_t i) {
+    solver.solve(i, setRows[i], &outcomes[i]);
   };
 
   const int requested = control.threads > 0
@@ -1674,15 +1248,15 @@ Estimate Analyzer::estimate(const SolveControl& control) const {
   {
     obs::Span dispatchSpan(tracer, "solve-sets", "ipet");
     dispatchSpan.arg("workers", workers)
-        .arg("sets", static_cast<int>(combined.size()))
+        .arg("sets", static_cast<int>(numSets))
         .arg("scheduled", scheduledSets);
     if (workers <= 1) {
-      for (std::size_t i = 0; i < outcomes.size(); ++i) {
+      for (std::size_t i = 0; i < numSets; ++i) {
         if (plan[i].sharedWith < 0) solveSet(i);
       }
     } else {
       support::ThreadPool pool(workers);
-      for (std::size_t i = 0; i < outcomes.size(); ++i) {
+      for (std::size_t i = 0; i < numSets; ++i) {
         if (plan[i].sharedWith >= 0) continue;
         pool.submit([&solveSet, i] { solveSet(i); });
       }
@@ -1691,29 +1265,22 @@ Estimate Analyzer::estimate(const SolveControl& control) const {
   }
   obs::Span mergeSpan(tracer, "merge", "ipet");
 
-  // Lost-task recovery: a scheduled task dropped by a pool fault never
-  // set `started`.  The hole is detected here (pool.wait() already
-  // returned) and the set degrades to the structural bound.
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+  for (std::size_t i = 0; i < numSets; ++i) {
     SetOutcome& out = outcomes[i];
-    if (out.started || plan[i].sharedWith >= 0) continue;
+    if (plan[i].sharedWith < 0 && out.started) continue;
     out.record.setIndex = static_cast<int>(i);
-    out.record.userConstraints = static_cast<int>(combined[i].size());
-    noteIssue(out, ErrorCode::TaskLost, "dispatch",
-              "solve task was lost before it ran");
-    applyStructural(out, /*worstSide=*/true);
-    applyStructural(out, /*worstSide=*/false);
-  }
-
-  // Fill the records of deduplicated / dominated sets from their
-  // representative's outcome.  A null representative proves the skipped
-  // set null too (its region is contained in the representative's), so
-  // the all-sets-null diagnostic below still fires correctly.
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    if (plan[i].sharedWith < 0) continue;
-    SetOutcome& out = outcomes[i];
-    out.record.setIndex = static_cast<int>(i);
-    out.record.userConstraints = static_cast<int>(combined[i].size());
+    out.record.userConstraints = static_cast<int>(setRows[i].size());
+    if (plan[i].sharedWith < 0) {
+      // Lost-task recovery: a scheduled task dropped by a pool fault
+      // never set `started`; the set degrades to the structural bound.
+      solver.degradeSet(&out, ErrorCode::TaskLost, "dispatch",
+                        "solve task was lost before it ran");
+      continue;
+    }
+    // A deduplicated / dominated set takes its record from its
+    // representative.  A null representative proves the skipped set
+    // null too (its region is contained in the representative's), so
+    // the all-sets-null diagnostic below still fires correctly.
     out.record.sharedWith = plan[i].sharedWith;
     out.record.dominated = plan[i].dominated;
     out.record.pruned =
@@ -1726,27 +1293,28 @@ Estimate Analyzer::estimate(const SolveControl& control) const {
   for (const auto& out : outcomes) {
     if (out.error) std::rethrow_exception(out.error);
   }
-  if (cancelled()) throw AnalysisError("estimate() cancelled");
+  if (solver.cancelled()) throw AnalysisError("estimate() cancelled");
   for (const auto& out : outcomes) {
     if (out.skipped) throw AnalysisError("estimate() cancelled");
   }
 
   Estimate result;
-  result.stats.constraintSets = static_cast<int>(combined.size());
+  result.stats.constraintSets = static_cast<int>(numSets);
   result.stats.cacheFlowVars = base.cacheFlowVars;
   result.stats.cacheFallbackSets = base.cacheFallbackSets;
-  result.timedOut = sawDeadline.load(std::memory_order_relaxed);
-  result.setRecords.reserve(outcomes.size());
+  result.setRecords.reserve(numSets);
 
-  bool haveWorst = false;
-  bool haveBest = false;
-  const std::vector<double>* worstValues = nullptr;
-  const std::vector<double>* bestValues = nullptr;
-
+  // The interval must cover every set, so degraded (non-exact) bounds
+  // compete with exact ones; only an exact winner has a witness point.
+  const SideOutcome* worst = nullptr;
+  const SideOutcome* best = nullptr;
   for (auto& out : outcomes) {
     const SetSolveRecord& rec = out.record;
     result.setRecords.push_back(rec);
-    for (auto& issue : out.issues) result.issues.push_back(std::move(issue));
+    for (auto& issue : out.issues) {
+      result.timedOut |= issue.code == ErrorCode::DeadlineExpired;
+      result.issues.push_back(std::move(issue));
+    }
     if (rec.pruned) {
       ++result.stats.prunedNullSets;
       continue;
@@ -1761,57 +1329,29 @@ Estimate Analyzer::estimate(const SolveControl& control) const {
       }
       continue;
     }
-    switch (rec.verdict) {
-      case SetVerdict::Exact:
-        break;
-      case SetVerdict::Relaxed:
-        ++result.stats.relaxedSets;
-        break;
-      case SetVerdict::Structural:
-        ++result.stats.structuralSets;
-        break;
-      case SetVerdict::Failed:
-        ++result.stats.failedSets;
-        break;
+    tally(&result.stats, rec);
+    const SideOutcome& hi = out.side(Side::Worst);
+    if (hi.bound && (worst == nullptr || *hi.bound > *worst->bound)) {
+      worst = &hi;
     }
-    for (const IlpSolveRecord* ilpRec : {&rec.worst, &rec.best}) {
-      if (!ilpRec->solved) continue;
-      ++result.stats.ilpSolves;
-      result.stats += ilpRec->counters;
-      result.stats.allFirstRelaxationsIntegral &=
-          ilpRec->firstRelaxationIntegral;
-    }
-    // The interval must cover every set, so degraded (non-exact) bounds
-    // compete with exact ones; only an exact winner has a witness point.
-    if (out.haveWorst && (!haveWorst || out.worstBound > result.bound.hi)) {
-      result.bound.hi = out.worstBound;
-      worstValues = out.worstExact ? &out.worstValues : nullptr;
-      haveWorst = true;
-    }
-    if (out.haveBest && (!haveBest || out.bestBound < result.bound.lo)) {
-      result.bound.lo = out.bestBound;
-      bestValues = out.bestExact ? &out.bestValues : nullptr;
-      haveBest = true;
-    }
+    const SideOutcome& lo = out.side(Side::Best);
+    if (lo.bound && (best == nullptr || *lo.bound < *best->bound)) best = &lo;
   }
 
-  if (result.stats.prunedNullSets == static_cast<int>(outcomes.size())) {
+  if (result.stats.prunedNullSets == static_cast<int>(numSets)) {
     throw AnalysisError(
         "all functionality constraint sets are infeasible (null)");
   }
-  if (!haveWorst || !haveBest) {
-    if (result.stats.failedSets == 0 && !result.timedOut) {
-      throw AnalysisError("no feasible constraint set yielded a bound (all "
-                          "sets integer-infeasible)");
-    }
-    // Every fallback rung failed on some side.  Return the trivially
-    // sound extremes rather than throwing; failedSets > 0 already marks
-    // the estimate unsound.
-    if (!haveWorst) {
-      result.bound.hi = std::numeric_limits<std::int64_t>::max();
-    }
-    if (!haveBest) result.bound.lo = 0;
+  if ((worst == nullptr || best == nullptr) && result.stats.failedSets == 0 &&
+      !result.timedOut) {
+    throw AnalysisError("no feasible constraint set yielded a bound (all "
+                        "sets integer-infeasible)");
   }
+  // A side no set bounds takes the trivially sound extreme; failedSets > 0
+  // already marks the estimate unsound.
+  result.bound.hi =
+      worst ? *worst->bound : std::numeric_limits<std::int64_t>::max();
+  result.bound.lo = best ? *best->bound : 0;
 
   auto aggregateCounts = [&](const std::vector<double>& values) {
     std::vector<BlockCountRow> rows;
@@ -1830,8 +1370,12 @@ Estimate Analyzer::estimate(const SolveControl& control) const {
     return rows;
   };
 
-  if (worstValues != nullptr) result.worstCounts = aggregateCounts(*worstValues);
-  if (bestValues != nullptr) result.bestCounts = aggregateCounts(*bestValues);
+  if (worst != nullptr && worst->exact()) {
+    result.worstCounts = aggregateCounts(worst->witness);
+  }
+  if (best != nullptr && best->exact()) {
+    result.bestCounts = aggregateCounts(best->witness);
+  }
   return result;
 }
 

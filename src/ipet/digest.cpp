@@ -1,5 +1,6 @@
 #include "cinderella/ipet/digest.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 namespace cinderella::ipet {
@@ -123,6 +124,16 @@ std::string canonicalRowKey(lp::Constraint c) {
   }
   appendF64(&row, sign * rhs);
   return row;
+}
+
+std::vector<std::string> canonicalRowKeys(
+    const std::vector<lp::Constraint>& rows) {
+  std::vector<std::string> keys;
+  keys.reserve(rows.size());
+  for (const lp::Constraint& row : rows) keys.push_back(canonicalRowKey(row));
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  return keys;
 }
 
 }  // namespace cinderella::ipet

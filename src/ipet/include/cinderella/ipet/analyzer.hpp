@@ -469,21 +469,12 @@ class Analyzer {
   /// DNF cross-product of all user constraints (paper III-D).
   [[nodiscard]] Dnf combineUserConstraints() const;
 
-  /// base problem + one conjunctive constraint set, resolved to LP rows.
-  [[nodiscard]] lp::Problem materializeSet(const BaseProblem& base,
-                                           const ConjunctiveSet& set) const;
-
   /// One symbolic user constraint resolved to an LP row.
   [[nodiscard]] lp::Constraint resolveSymConstraint(
       const SymConstraint& sc) const;
 
-  /// Canonical fingerprints of a set's resolved rows: each row
-  /// canonicalized (merged/sorted terms, constant folded into the rhs,
-  /// GreaterEq negated into LessEq) and byte-encoded, the row list
-  /// sorted with duplicates removed.  Identical vectors => identical
-  /// feasible regions; a proper subset => a superset region.  Powers
-  /// constraint-set deduplication and domination pruning.
-  [[nodiscard]] std::vector<std::string> canonicalSetRows(
+  /// A set's constraints resolved to LP rows.
+  [[nodiscard]] std::vector<lp::Constraint> resolveSet(
       const ConjunctiveSet& set) const;
 
   /// Shared structural-digest prefix of systemDigests / parametricDigest.

@@ -20,6 +20,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "cinderella/lp/problem.hpp"
 
@@ -77,5 +78,11 @@ class DigestBuilder {
 /// key vectors power both the analyzer's constraint-set deduplication
 /// and the cache digest.  The returned string is binary, not printable.
 [[nodiscard]] std::string canonicalRowKey(lp::Constraint c);
+
+/// Every row's canonicalRowKey, sorted with duplicates removed, so the
+/// result depends only on the region the rows carve: identical vectors
+/// => identical regions, a proper subset => a superset region.
+[[nodiscard]] std::vector<std::string> canonicalRowKeys(
+    const std::vector<lp::Constraint>& rows);
 
 }  // namespace cinderella::ipet

@@ -95,10 +95,6 @@ struct SnapshotRestoreReport {
   std::size_t journalRecords = 0;
   /// First corruption diagnostic, empty when complete.
   std::string detail;
-
-  [[nodiscard]] bool anyRestored() const {
-    return bounds + formulas + journalRecords > 0;
-  }
 };
 
 class SolveCache {

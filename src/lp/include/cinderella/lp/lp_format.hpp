@@ -30,8 +30,10 @@ struct LpFormatOptions {
                                      const LpFormatOptions& options = {});
 
 /// Parses one LP-format problem (`Maximize`/`Minimize` … `End`).
-/// Variables are numbered in order of first appearance (objective, then
-/// constraints, then the `General` section).  Supported grammar is the
+/// Variables listed in a `General`/`Integer` section are numbered first,
+/// in the order listed, so a problem written by toLpFormat keeps its
+/// variable order; any other variable follows in order of first
+/// appearance (objective, then constraints).  Supported grammar is the
 /// subset this library writes — objective, `Subject To` rows with
 /// `<=`/`>=`/`=`, an optional `General`/`Integer` section, `\`-comments —
 /// which is also what lp_solve/CBC emit for pure-integer programs.

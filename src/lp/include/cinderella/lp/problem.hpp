@@ -70,9 +70,6 @@ class Problem {
   /// Creates a fresh variable and returns its index.
   int addVar(std::string name = {});
 
-  /// Ensures at least `count` variables exist.
-  void ensureVars(int count);
-
   void setObjective(LinearExpr expr, Sense sense);
   void addConstraint(Constraint c);
   void addConstraint(LinearExpr expr, Relation rel, double rhs);

@@ -21,6 +21,7 @@
 // presolve and phase 1 once, then phase 2 for the problem's objective.
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -73,6 +74,10 @@ struct SimplexOptions {
   /// solution back afterwards.  Results are identical either way;
   /// the reduced tableau is just smaller.
   bool presolve = true;
+  /// Polled, when set, every 64 pivots of a run and once per B&B node;
+  /// true ends the run as IterationLimit (the search as Interrupted).
+  /// Carries the analyzer's deadline and cancel flag into every LP.
+  std::function<bool()> interrupt;
 };
 
 /// Solves `problem` and returns its optimum, or the failure status.

@@ -32,9 +32,9 @@ class Tableau {
   /// artificials out of the basis and deletes them (a row whose
   /// artificial cannot leave is redundant and is dropped), so the
   /// tableau holds a feasible basis over real columns only.  Returns
-  /// Optimal (feasible), Infeasible, or IterationLimit when the budget
-  /// or stall guard trips or the basis fails the primal-feasibility
-  /// audit.
+  /// Optimal (feasible), Infeasible, or IterationLimit when the budget,
+  /// stall guard or interrupt trips or the basis fails the
+  /// primal-feasibility audit.
   [[nodiscard]] SolveStatus phase1();
 
   /// Phase 2 from the current feasible basis: installs `objective`
@@ -53,8 +53,8 @@ class Tableau {
   /// Dual simplex repair after addBoundCut: restores primal feasibility
   /// from a dual-feasible basis, then lets phase 2 clean up any reduced
   /// cost drift.  Returns Optimal, Infeasible, or IterationLimit when
-  /// the pivot budget or stall guard trips or the repaired point fails
-  /// the primal-feasibility audit.
+  /// the pivot budget, stall guard or interrupt trips or the repaired
+  /// point fails the primal-feasibility audit.
   [[nodiscard]] SolveStatus dualSimplex();
 
   /// Entering-column rule for later runs (the solver's retry ladder).
@@ -106,6 +106,11 @@ class Tableau {
   void setObjectiveRow(CoeffFn coeff);
 
   [[nodiscard]] SolveStatus runPrimal(bool allowArtificialEntering);
+  /// Polls the interrupt, if set, every 64th pivot of a run.
+  [[nodiscard]] bool interrupted(int pivots) const {
+    return pivots != 0 && pivots % 64 == 0 && opt_.interrupt &&
+           opt_.interrupt();
+  }
   /// Audit after a claimed-Optimal solve: true when every basic value is
   /// nonnegative within a scale-aware tolerance.  Accumulated pivot
   /// drift can push a row's rhs genuinely negative (an ignored

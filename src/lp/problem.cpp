@@ -72,10 +72,6 @@ int Problem::addVar(std::string name) {
   return static_cast<int>(names_.size()) - 1;
 }
 
-void Problem::ensureVars(int count) {
-  while (numVars() < count) addVar();
-}
-
 void Problem::setObjective(LinearExpr expr, Sense sense) {
   expr.canonicalize();
   CIN_REQUIRE(expr.maxVar() < numVars());

@@ -214,47 +214,31 @@ SolveStatus Tableau::runPrimal(bool allowArtificialEntering) {
   int pivotsSinceProgress = 0;
   double lastObjective = objRhs_;
   while (true) {
-    if (pivots >= pivotBudget_) {
+    if (pivots >= pivotBudget_ || interrupted(pivots)) {
       return SolveStatus::IterationLimit;
     }
-    // Entering column per the current rule.  Devex: largest
-    // rc^2/weight (smallest index on ties).  Dantzig: most negative
-    // reduced cost (smallest index on ties).  Bland: smallest-index
-    // column with negative reduced cost.
+    // Entering column per the current rule, among the columns whose
+    // reduced cost is negative.  Devex: largest rc^2/weight.  Dantzig:
+    // most negative reduced cost.  Both take the smallest index on ties.
+    // Bland: the smallest index.
     int enter = -1;
-    if (rule_ == PivotRule::Devex) {
-      double bestScore = 0.0;
-      for (int j = 0; j < numCols_; ++j) {
-        if (!colExists_[static_cast<std::size_t>(j)]) continue;
-        if (!allowArtificialEntering && isArtificialColumn(j)) continue;
-        const double rc = obj_[static_cast<std::size_t>(j)];
-        if (rc >= -opt_.tol) continue;
-        const double score =
-            rc * rc / devexWeights_[static_cast<std::size_t>(j)];
-        if (score > bestScore) {
-          bestScore = score;
-          enter = j;
-        }
+    double bestScore = 0.0;
+    for (int j = 0; j < numCols_; ++j) {
+      if (!colExists_[static_cast<std::size_t>(j)]) continue;
+      if (!allowArtificialEntering && isArtificialColumn(j)) continue;
+      const double rc = obj_[static_cast<std::size_t>(j)];
+      if (rc >= -opt_.tol) continue;
+      if (rule_ == PivotRule::Bland) {
+        enter = j;
+        break;
       }
-    } else if (rule_ == PivotRule::Dantzig) {
-      double best = -opt_.tol;
-      for (int j = 0; j < numCols_; ++j) {
-        if (!colExists_[static_cast<std::size_t>(j)]) continue;
-        if (!allowArtificialEntering && isArtificialColumn(j)) continue;
-        const double rc = obj_[static_cast<std::size_t>(j)];
-        if (rc < best) {
-          best = rc;
-          enter = j;
-        }
-      }
-    } else {
-      for (int j = 0; j < numCols_; ++j) {
-        if (!colExists_[static_cast<std::size_t>(j)]) continue;
-        if (!allowArtificialEntering && isArtificialColumn(j)) continue;
-        if (obj_[static_cast<std::size_t>(j)] < -opt_.tol) {
-          enter = j;
-          break;
-        }
+      const double score =
+          rule_ == PivotRule::Devex
+              ? rc * rc / devexWeights_[static_cast<std::size_t>(j)]
+              : -rc;
+      if (score > bestScore) {
+        bestScore = score;
+        enter = j;
       }
     }
     if (enter < 0) return SolveStatus::Optimal;
@@ -467,7 +451,8 @@ SolveStatus Tableau::dualSimplex() {
       }
     }
     if (leave < 0) break;
-    if (pivots >= pivotBudget_ || pivotsSinceProgress >= stallLimit) {
+    if (pivots >= pivotBudget_ || pivotsSinceProgress >= stallLimit ||
+        interrupted(pivots)) {
       return SolveStatus::IterationLimit;
     }
     // Dual ratio test over the leaving row's negative entries: the

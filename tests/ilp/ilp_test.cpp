@@ -268,7 +268,7 @@ TEST(Ilp, InterruptStopsTheSearch) {
   p.setObjective(obj, Sense::Maximize);
 
   IlpOptions options;
-  options.interrupt = [] { return true; };
+  options.lpOptions.interrupt = [] { return true; };
   const IlpSolution s = ilp::solve(p, options);
   EXPECT_EQ(s.status, IlpStatus::Interrupted);
   EXPECT_EQ(s.stats.nodesExpanded, 0);

@@ -10,6 +10,7 @@
 // on the thread count.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 
@@ -73,6 +74,46 @@ TEST(BranchingCorpus, EverySetIsExactWithinTheNodeCeiling) {
   EXPECT_LE(totalNodes, kNodeCeiling);
   // The corpus must keep reaching the branching regime.
   EXPECT_GE(branchingPrograms, 5);
+}
+
+TEST(BranchingCorpus, DeadlineReachesAStalledPhaseOne) {
+  // Corpus program 4225924629 under ccg with presolve off: phase 1 of
+  // its set LP (the null-set probe) stalls for minutes, and the pivot
+  // cap is far away.  The simplex polls the deadline, so the
+  // set gives up soon after it passes and takes its structural bound,
+  // which is solved without the deadline and so never fails for it.
+  fuzz::GeneratorOptions options = fuzz::branchingProfile();
+  options.emitConstraints = true;
+  const fuzz::GeneratedProgram program =
+      fuzz::ProgramGenerator(options).generate(4225924629ULL);
+  const codegen::CompileResult compiled = codegen::compileSource(program.source);
+  ipet::AnalyzerOptions aopt;
+  aopt.cacheMode = ipet::CacheMode::ConflictGraph;
+  ipet::Analyzer analyzer(compiled, program.root, aopt);
+  for (const auto& text : program.constraints) analyzer.addConstraint(text);
+  const ipet::Estimate exact = analyzer.estimate();  // presolve on: fast
+
+  ipet::SolveControl control;
+  control.presolve = false;
+  control.deadline = std::chrono::milliseconds(250);
+  const auto start = std::chrono::steady_clock::now();
+  const ipet::Estimate degraded = analyzer.estimate(control);
+  // Seconds, not minutes; sanitizer builds run the simplex ~10x slower.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  constexpr std::chrono::seconds kReturnWithin{100};
+#else
+  constexpr std::chrono::seconds kReturnWithin{10};
+#endif
+  EXPECT_LT(std::chrono::steady_clock::now() - start, kReturnWithin);
+
+  EXPECT_TRUE(degraded.timedOut);
+  EXPECT_TRUE(degraded.sound());
+  for (const ipet::SetSolveRecord& rec : degraded.setRecords) {
+    EXPECT_NE(rec.verdict, ipet::SetVerdict::Failed) << "set " << rec.setIndex;
+    // The stalled phase 1 itself stops soon after the deadline.
+    EXPECT_LT(rec.probeMicros, 10'000'000) << "set " << rec.setIndex;
+  }
+  EXPECT_TRUE(degraded.bound.encloses(exact.bound));
 }
 
 }  // namespace

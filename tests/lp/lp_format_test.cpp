@@ -2,9 +2,11 @@
 #include <gtest/gtest.h>
 
 #include "cinderella/codegen/codegen.hpp"
+#include "cinderella/ilp/branch_and_bound.hpp"
 #include "cinderella/ipet/analyzer.hpp"
 #include "cinderella/lp/lp_format.hpp"
 #include "cinderella/lp/simplex.hpp"
+#include "cinderella/suite/suite.hpp"
 #include "cinderella/support/error.hpp"
 
 namespace cinderella::lp {
@@ -80,7 +82,7 @@ TEST(LpFormat, EmptyObjectiveRendersZero) {
 
 TEST(LpParse, WriterOutputRoundTripsExactly) {
   // write -> parse -> write must reproduce the text: the parser numbers
-  // variables in order of first appearance, which matches the writer.
+  // the General section's variables first, in the writer's index order.
   const std::string text = toLpFormat(sample());
   const Problem parsed = parseLpFormat(text);
   EXPECT_EQ(toLpFormat(parsed), text);
@@ -133,6 +135,51 @@ TEST(LpParse, GeneralSectionDeclaresUnreferencedVariables) {
       "General\n x\n unused\nEnd\n");
   EXPECT_EQ(p.numVars(), 2);
   EXPECT_EQ(p.varName(1), "unused");
+}
+
+TEST(LpParse, IntegralitySectionFixesTheVariableOrder) {
+  // The objective names b first, but General lists a first: the
+  // General order wins, and unlisted names follow by first appearance.
+  const Problem p = parseLpFormat(
+      "Maximize\n obj: 2 b + a + c\nSubject To\n c0: a + b + c <= 3\n"
+      "General\n a\n b\nEnd\n");
+  ASSERT_EQ(p.numVars(), 3);
+  EXPECT_EQ(p.varName(0), "a");
+  EXPECT_EQ(p.varName(1), "b");
+  EXPECT_EQ(p.varName(2), "c");
+  ASSERT_EQ(p.objective().terms().size(), 3u);
+  EXPECT_EQ(p.objective().terms()[0].var, 0);
+  EXPECT_EQ(p.objective().terms()[0].coeff, 1.0);
+  EXPECT_EQ(p.objective().terms()[1].var, 1);
+  EXPECT_EQ(p.objective().terms()[1].coeff, 2.0);
+}
+
+TEST(LpParse, ReingestedIpetIlpBranchesLikeTheAnalyzer) {
+  // Branch-and-bound branches on the lowest-index fractional variable,
+  // and the analyzer numbers flow counts before cache variables.  An
+  // exported ILP read back keeps that order, so it expands the same
+  // tree as the analyzer's own worst-case solve (recon/ccg has a
+  // fractional root).
+  const suite::Benchmark& bench = suite::benchmarkByName("recon");
+  const auto compiled = codegen::compileSource(bench.source);
+  ipet::AnalyzerOptions options;
+  options.cacheMode = ipet::CacheMode::ConflictGraph;
+  ipet::Analyzer analyzer(compiled, bench.rootFunction, options);
+  for (const auto& c : bench.constraints) analyzer.addConstraint(c.text, c.scope);
+  const ipet::Estimate estimate = analyzer.estimate();
+  const std::vector<Problem> problems =
+      parseLpFormatAll(analyzer.exportWorstCaseIlp());
+  ASSERT_EQ(problems.size(), estimate.setRecords.size());
+  for (std::size_t i = 0; i < problems.size(); ++i) {
+    SCOPED_TRACE(i);
+    const ipet::IlpSolveRecord& worst = estimate.setRecords[i].worst;
+    ASSERT_TRUE(worst.solved);
+    EXPECT_FALSE(worst.firstRelaxationIntegral);
+    const ilp::IlpSolution reread = ilp::solve(problems[i]);
+    ASSERT_EQ(reread.status, ilp::IlpStatus::Optimal);
+    EXPECT_EQ(reread.objectiveExact, worst.objective);
+    EXPECT_EQ(reread.stats.nodesExpanded, worst.counters.nodesExpanded);
+  }
 }
 
 TEST(LpParse, ParsesConcatenatedProblems) {
