@@ -1,10 +1,23 @@
 // Micro-benchmarks for the LP/ILP substrate: simplex scaling with
-// problem size on IPET-shaped (flow conservation) systems, and the cost
-// of branch-and-bound when the relaxation is / is not integral.
+// problem size on IPET-shaped (flow conservation) systems, the cost of
+// branch-and-bound when the relaxation is / is not integral, and the
+// set-LP setup (presolve, then phase 1) on the real worst-case ILPs of
+// the Table I programs under the cache conflict graph.
 #include <benchmark/benchmark.h>
 
+#include <cstddef>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "cinderella/codegen/codegen.hpp"
 #include "cinderella/ilp/branch_and_bound.hpp"
+#include "cinderella/ipet/analyzer.hpp"
+#include "cinderella/lp/feasible_lp.hpp"
+#include "cinderella/lp/lp_format.hpp"
+#include "cinderella/lp/presolve.hpp"
 #include "cinderella/lp/simplex.hpp"
+#include "cinderella/suite/suite.hpp"
 #include "cinderella/support/text.hpp"
 
 namespace {
@@ -90,9 +103,83 @@ void BM_IlpFractionalKnapsack(benchmark::State& state) {
   }
 }
 
+/// One Table I program's worst-case ILPs under ccg, one per constraint
+/// set, exported and re-read through the LP format as an off-the-shelf
+/// solver would see them.
+struct CcgSystems {
+  std::string program;
+  std::vector<lp::Problem> problems;
+};
+
+const std::vector<CcgSystems>& ccgSystems() {
+  static const std::vector<CcgSystems> systems = [] {
+    std::vector<CcgSystems> out;
+    for (const suite::Benchmark& bench : suite::allBenchmarks()) {
+      const codegen::CompileResult compiled =
+          codegen::compileSource(bench.source);
+      ipet::AnalyzerOptions options;
+      options.cacheMode = ipet::CacheMode::ConflictGraph;
+      ipet::Analyzer analyzer(compiled, bench.rootFunction, options);
+      for (const auto& c : bench.constraints) {
+        analyzer.addConstraint(c.text, c.scope);
+      }
+      out.push_back(
+          {bench.name, lp::parseLpFormatAll(analyzer.exportWorstCaseIlp())});
+    }
+    return out;
+  }();
+  return systems;
+}
+
+/// Labels the run with the program and its raw row count.
+const CcgSystems& ccgProgram(benchmark::State& state) {
+  const CcgSystems& systems =
+      ccgSystems().at(static_cast<std::size_t>(state.range(0)));
+  std::size_t rows = 0;
+  for (const lp::Problem& p : systems.problems) rows += p.constraints().size();
+  state.SetLabel(systems.program);
+  state.counters["rows"] = static_cast<double>(rows);
+  return systems;
+}
+
+void BM_PresolveCcg(benchmark::State& state) {
+  const CcgSystems& systems = ccgProgram(state);
+  for (auto _ : state) {
+    for (const lp::Problem& p : systems.problems) {
+      const lp::Reduction r = lp::Reduction::reduce(p);
+      benchmark::DoNotOptimize(r.counters().presolveRowsRemoved);
+    }
+  }
+  int removed = 0;
+  for (const lp::Problem& p : systems.problems) {
+    removed += lp::Reduction::reduce(p).counters().presolveRowsRemoved;
+  }
+  state.counters["rowsRemoved"] = removed;
+}
+
+void BM_FeasibleLpCcg(benchmark::State& state) {
+  const CcgSystems& systems = ccgProgram(state);
+  for (auto _ : state) {
+    for (const lp::Problem& p : systems.problems) {
+      const lp::FeasibleLp region(p, lp::SimplexOptions{});
+      benchmark::DoNotOptimize(region.status());
+    }
+  }
+  int pivots = 0;
+  for (const lp::Problem& p : systems.problems) {
+    pivots += lp::FeasibleLp(p, lp::SimplexOptions{})
+                  .phase1Counters()
+                  .totalPivots;
+  }
+  state.counters["phase1Pivots"] = pivots;
+}
+
 BENCHMARK(BM_SimplexFlowChain)->Arg(8)->Arg(32)->Arg(128)->Arg(512);
 BENCHMARK(BM_IlpFlowChain)->Arg(8)->Arg(32)->Arg(128);
 BENCHMARK(BM_IlpFractionalKnapsack)->Arg(6)->Arg(10)->Arg(14);
+// Arg: index into suite::allBenchmarks() (Table I order; 10 = whetstone).
+BENCHMARK(BM_PresolveCcg)->DenseRange(0, 12)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_FeasibleLpCcg)->DenseRange(0, 12)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -1,8 +1,10 @@
 #include "cinderella/ipet/analysis.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <limits>
+#include <optional>
 
 #include "cinderella/codegen/codegen.hpp"
 #include "cinderella/ilp/branch_and_bound.hpp"
@@ -92,9 +94,10 @@ AnalysisResult throughBoundCache(SolveCache& cache,
 
 /// One ILP per LP-format problem, each settled on the set ladder.  Worst
 /// case from the maximizations, best case from the minimizations; a
-/// one-sided system falls back to the extremes of the side it has, so
-/// the interval always encloses every optimum seen.  A side on which no
-/// problem yielded a bound is unbounded.
+/// one-sided system falls back to the extremes of the side it has, a
+/// fractional optimum rounded toward the missing end, so the interval
+/// always encloses every optimum seen.  A side on which no problem
+/// yielded a bound is unbounded.
 Estimate solveLpProblems(const std::vector<lp::Problem>& problems,
                          const SolveControl& control) {
   // An LP-format objective need not have integral coefficients, so
@@ -105,12 +108,16 @@ Estimate solveLpProblems(const std::vector<lp::Problem>& problems,
                          {ilp::IlpOptions{}, Rounding::Outward, true});
   Estimate estimate;
   estimate.stats.constraintSets = static_cast<int>(problems.size());
-  std::vector<std::int64_t> maxima;
-  std::vector<std::int64_t> minima;
+  // Per side: the bounds of its own problems, and the other side's
+  // bounds rounded toward it (its ends of a one-sided system).
+  std::array<std::vector<std::int64_t>, 2> bounds;
+  std::array<std::vector<std::int64_t>, 2> mirrored;
   for (std::size_t i = 0; i < problems.size(); ++i) {
     const lp::Problem& problem = problems[i];
     const Side side =
         problem.sense() == lp::Sense::Maximize ? Side::Worst : Side::Best;
+    const Side other = side == Side::Worst ? Side::Best : Side::Worst;
+    std::optional<double> fractional;
     SetOutcome out;
     out.record.setIndex = static_cast<int>(i);
     if (std::optional<std::string> breach =
@@ -126,13 +133,21 @@ Estimate solveLpProblems(const std::vector<lp::Problem>& problems,
         throw AnalysisError("lp input: problem " + std::to_string(i + 1) +
                             " is " + ilp::ilpStatusStr(solution.status));
       }
-      fillRecord(&out.slot(side), solution, microsSince(ilpStart));
+      fillRecord(&out.slot(side), solution, side, Rounding::Outward,
+                 microsSince(ilpStart));
       out.record.wallMicros = out.slot(side).wallMicros;
+      if (solution.status == ilp::IlpStatus::Optimal &&
+          !solution.objectiveIsExact) {
+        fractional = solution.objective;
+      }
       solver.settle(&out, side, std::move(solution));
     }
     tally(&estimate.stats, out.record);
     if (const std::optional<std::int64_t>& bound = out.side(side).bound) {
-      (side == Side::Worst ? maxima : minima).push_back(*bound);
+      bounds[static_cast<std::size_t>(side)].push_back(*bound);
+      mirrored[static_cast<std::size_t>(other)].push_back(
+          fractional ? soundBound(*fractional, other, Rounding::Outward)
+                     : *bound);
     }
     for (SolveIssue& issue : out.issues) {
       estimate.timedOut |= issue.code == ErrorCode::DeadlineExpired;
@@ -145,10 +160,12 @@ Estimate solveLpProblems(const std::vector<lp::Problem>& problems,
     return std::any_of(problems.begin(), problems.end(),
                        [&](const lp::Problem& p) { return p.sense() == sense; });
   };
-  const std::vector<std::int64_t>& hiSide =
-      hasSense(lp::Sense::Maximize) ? maxima : minima;
-  const std::vector<std::int64_t>& loSide =
-      hasSense(lp::Sense::Minimize) ? minima : maxima;
+  const auto sideBounds = [&](Side s) -> const std::vector<std::int64_t>& {
+    const std::size_t i = static_cast<std::size_t>(s);
+    return hasSense(senseOf(s)) ? bounds[i] : mirrored[i];
+  };
+  const std::vector<std::int64_t>& hiSide = sideBounds(Side::Worst);
+  const std::vector<std::int64_t>& loSide = sideBounds(Side::Best);
   estimate.bound.hi = hiSide.empty()
                           ? std::numeric_limits<std::int64_t>::max()
                           : *std::max_element(hiSide.begin(), hiSide.end());

@@ -15,10 +15,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-lp::Sense senseOf(Side side) {
-  return side == Side::Worst ? lp::Sense::Maximize : lp::Sense::Minimize;
-}
-
 /// A side's issue phase, also the name of its ILP span.
 const char* phaseOf(Side side) {
   return side == Side::Worst ? "ilp-worst" : "ilp-best";
@@ -30,17 +26,30 @@ ErrorCode faultCode(const std::exception& e) {
              : ErrorCode::Internal;
 }
 
+constexpr double kInt64Edge = 9.2e18;  // doubles beyond here can't narrow
+
+/// A finished ILP's optimum as a sound integer bound on `side`.
+struct IntegerOptimum {
+  std::int64_t value = 0;
+  /// The optimum lies beyond int64; `value` is the extreme on its side.
+  bool saturated = false;
+};
+
 /// Prefers the checked integer objective: the double loses precision
-/// past 2^53.
-std::int64_t exactObjective(const ilp::IlpSolution& solution) {
-  if (solution.objectiveIsExact) return solution.objectiveExact;
-  return static_cast<std::int64_t>(std::llround(solution.objective));
+/// past 2^53.  Without one (a coefficient or value was not integral),
+/// the double is rounded outward by `rule`.
+IntegerOptimum integerOptimum(const ilp::IlpSolution& solution, Side side,
+                              Rounding rule) {
+  if (solution.objectiveIsExact) {
+    return {solution.objectiveExact, solution.objectiveSaturated};
+  }
+  return {soundBound(solution.objective, side, rule),
+          std::abs(solution.objective) >= kInt64Edge};
 }
 
 }  // namespace
 
 std::int64_t soundBound(double v, Side side, Rounding rule) {
-  constexpr double kInt64Edge = 9.2e18;  // doubles beyond here can't narrow
   if (v >= kInt64Edge) return std::numeric_limits<std::int64_t>::max();
   if (v <= -kInt64Edge) return std::numeric_limits<std::int64_t>::min();
   const bool upper = side == Side::Worst;
@@ -52,13 +61,15 @@ std::int64_t soundBound(double v, Side side, Rounding rule) {
 }
 
 void fillRecord(IlpSolveRecord* slot, const ilp::IlpSolution& solution,
-                std::int64_t wallMicros) {
+                Side side, Rounding rule, std::int64_t wallMicros) {
   slot->solved = true;
   slot->feasible = solution.status == ilp::IlpStatus::Optimal;
   slot->firstRelaxationIntegral = solution.firstRelaxationIntegral;
   slot->counters = solution.stats;
   slot->wallMicros = wallMicros;
-  if (slot->feasible) slot->objective = exactObjective(solution);
+  if (slot->feasible) {
+    slot->objective = integerOptimum(solution, side, rule).value;
+  }
 }
 
 void tally(SolveStats* stats, const SetSolveRecord& record) {
@@ -126,8 +137,10 @@ void SetSolver::settle(SetOutcome* out, Side side,
                        ilp::IlpSolution&& solution) const {
   SideOutcome outcome;
   if (solution.status == ilp::IlpStatus::Optimal) {
-    outcome.bound = exactObjective(solution);
-    if (!solution.objectiveSaturated) {
+    const IntegerOptimum optimum =
+        integerOptimum(solution, side, options_.rounding);
+    outcome.bound = optimum.value;
+    if (!optimum.saturated) {
       outcome.witness = std::move(solution.values);
     } else {
       // The true objective lies beyond int64; the saturated value is
@@ -322,7 +335,8 @@ const char* SetSolver::solveSet(std::size_t index,
         solution = ilp::solve(p, *region, ilp);
         solution.stats += std::exchange(unchargedPresolve, {});
         IlpSolveRecord& slot = out->slot(side);
-        fillRecord(&slot, solution, microsSince(ilpStart));
+        fillRecord(&slot, solution, side, options_.rounding,
+                   microsSince(ilpStart));
         ilpSpan.arg("verdict", std::string(ilp::ilpStatusStr(solution.status)))
             .arg("nodes", solution.stats.nodesExpanded)
             .arg("lp-calls", solution.stats.lpCalls)

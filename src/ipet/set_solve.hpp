@@ -32,6 +32,11 @@ namespace cinderella::ipet {
 enum class Side { Worst = 0, Best = 1 };
 inline constexpr std::array<Side, 2> kSides{Side::Worst, Side::Best};
 
+/// The objective sense that bounds `side`.
+[[nodiscard]] inline lp::Sense senseOf(Side side) {
+  return side == Side::Worst ? lp::Sense::Maximize : lp::Sense::Minimize;
+}
+
 /// How a relaxation value becomes a sound integer bound.
 enum class Rounding {
   /// The analyzer: IPET objectives are integral, so a value within 1e-6
@@ -88,9 +93,10 @@ struct SetOutcome {
   }
 };
 
-/// Fills `slot` from a finished ILP: status, exact objective, counters.
+/// Fills `slot` from a finished ILP: status, counters, and the optimum
+/// as an integer bound on `side` (a fractional one rounded by `rule`).
 void fillRecord(IlpSolveRecord* slot, const ilp::IlpSolution& solution,
-                std::int64_t wallMicros);
+                Side side, Rounding rule, std::int64_t wallMicros);
 
 /// Adds a solved set's verdict and ILP counters to `stats`.
 void tally(SolveStats* stats, const SetSolveRecord& record);

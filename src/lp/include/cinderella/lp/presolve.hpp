@@ -26,6 +26,17 @@
 //       the known bounds, and duplicate rows (keeping the tighter rhs;
 //       contradictory Equal duplicates prove infeasibility).
 //
+// The rounds run in a fixed order — per row: fold fixed variables (c),
+// then activity checks (b, d) and singleton rows; then duplicate rows
+// (d); then substitutions (a) — until nothing changes or 25 rounds
+// have run, with one last fold for variables fixed in the final round.
+// Beside the rows, a variable -> rows index (stale entries filtered
+// when read) lets a substitution rewrite only the rows that carry its
+// variable, at most 16 besides the pivot row: each is merged once into
+// staging and all are committed only when every rewritten coefficient
+// fits.  Any overflow anywhere discards the whole reduction, and the
+// caller solves the original problem.
+//
 // Soundness: every reduction is a bijection between the feasible
 // regions of the original and reduced problems that preserves the
 // objective value, so statuses and optima are identical; the simplex
@@ -38,8 +49,8 @@
 
 #include <vector>
 
+#include "cinderella/lp/counters.hpp"
 #include "cinderella/lp/problem.hpp"
-#include "cinderella/lp/simplex.hpp"
 
 namespace cinderella::lp {
 
@@ -48,8 +59,7 @@ namespace cinderella::lp {
 class Reduction {
  public:
   /// Runs the fixpoint reduction pass over `original`.
-  [[nodiscard]] static Reduction reduce(const Problem& original,
-                                        const SimplexOptions& options);
+  [[nodiscard]] static Reduction reduce(const Problem& original);
 
   /// True when the reduction proved the problem infeasible outright
   /// (exact integer arithmetic only; the simplex would agree).  The

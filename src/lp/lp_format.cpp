@@ -1,6 +1,7 @@
 #include "cinderella/lp/lp_format.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <map>
 #include <sstream>
@@ -335,6 +336,7 @@ class LpParser {
     if (end != text.c_str() + text.size()) {
       lexer_.fail("malformed number '" + text + "'");
     }
+    if (!std::isfinite(value)) lexer_.fail("non-finite number '" + text + "'");
     return value;
   }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 
 namespace cinderella::lp {
@@ -20,10 +21,10 @@ constexpr long long kMaxMagnitude = 1LL << 52;
 /// rounds are a lost optimization, never a soundness problem.
 constexpr int kMaxRounds = 25;
 
-/// Substitution fill-in cap: a variable occurring in more rows than
-/// this is not worth eliminating (each occurrence merges the pivot row
-/// in).
-constexpr int kMaxSubstOccurrences = 16;
+/// Substitution fill-in cap: a variable carried by more rows than this
+/// (besides its pivot row) is not worth eliminating (each carrier
+/// merges the pivot row in).
+constexpr std::size_t kMaxSubstCarriers = 16;
 
 /// True when `v` is an exact integer of safe magnitude; writes it out.
 bool exactInt(double v, long long* out) {
@@ -54,6 +55,13 @@ struct WRow {
   Relation rel = Relation::LessEq;
   long long rhs = 0;
   bool alive = true;
+
+  [[nodiscard]] const WTerm* find(int var) const {
+    const auto it = std::lower_bound(
+        terms.begin(), terms.end(), var,
+        [](const WTerm& t, int v) { return t.var < v; });
+    return it != terms.end() && it->var == var ? &*it : nullptr;
+  }
 };
 
 struct VarState {
@@ -79,11 +87,45 @@ struct Bound {
   Int128 value = 0;
 };
 
+/// `row` with `var` eliminated through `pivot`, an Equal row holding
+/// `var` with unit coefficient `av`: row - (b * av) * pivot, where b is
+/// var's coefficient in `row`.  Computed in __int128; false when any
+/// result leaves the magnitude cap.
+bool eliminate(const WRow& row, const WRow& pivot, int var, long long av,
+               WRow* out) {
+  const Int128 f = static_cast<Int128>(row.find(var)->coeff) * av;
+  out->terms.clear();
+  out->terms.reserve(row.terms.size() + pivot.terms.size());
+  auto it = row.terms.begin();
+  auto jt = pivot.terms.begin();
+  while (it != row.terms.end() || jt != pivot.terms.end()) {
+    WTerm t;
+    Int128 coeff = 0;
+    if (jt == pivot.terms.end() ||
+        (it != row.terms.end() && it->var < jt->var)) {
+      t.var = it->var;
+      coeff = (it++)->coeff;
+    } else if (it == row.terms.end() || jt->var < it->var) {
+      t.var = jt->var;
+      coeff = -f * (jt++)->coeff;
+    } else {
+      t.var = it->var;
+      coeff = (it++)->coeff - f * (jt++)->coeff;
+    }
+    if (t.var == var || coeff == 0) continue;
+    if (!fits(coeff)) return false;
+    t.coeff = static_cast<long long>(coeff);
+    out->terms.push_back(t);
+  }
+  const Int128 rhs = row.rhs - f * pivot.rhs;
+  out->rel = row.rel;
+  out->rhs = static_cast<long long>(rhs);
+  return fits(rhs);
+}
+
 }  // namespace
 
-Reduction Reduction::reduce(const Problem& original,
-                            const SimplexOptions& options) {
-  (void)options;
+Reduction Reduction::reduce(const Problem& original) {
   Reduction out;
   const int n = original.numVars();
   const auto& cons = original.constraints();
@@ -151,6 +193,17 @@ Reduction Reduction::reduce(const Problem& original,
     }
   }
 
+  // Column index: variable -> the integral rows holding it.  Entries
+  // are only ever appended (when a substitution brings a variable into
+  // a row), so a reader filters out rows that died or no longer hold
+  // the variable.
+  std::vector<std::vector<int>> carriers(static_cast<std::size_t>(n));
+  for (int r = 0; r < m; ++r) {
+    for (const WTerm& t : rows[static_cast<std::size_t>(r)].terms) {
+      carriers[static_cast<std::size_t>(t.var)].push_back(r);
+    }
+  }
+
   bool infeasible = false;
   bool aborted = false;  // integer overflow: bail out, solve unreduced
   bool changed = false;
@@ -182,6 +235,41 @@ Reduction Reduction::reduce(const Problem& original,
     changed = true;
   };
 
+  // (c) Folds fixed variables into row r's right-hand side; a row left
+  // empty is verified exactly, then removed.  False when the row is
+  // gone or the pass must stop.
+  auto fold = [&](int r) {
+    WRow& row = rows[static_cast<std::size_t>(r)];
+    std::size_t w = 0;
+    Int128 rhs = row.rhs;
+    for (const WTerm& t : row.terms) {
+      const VarState& s = vars[static_cast<std::size_t>(t.var)];
+      if (s.fixed) {
+        rhs -= static_cast<Int128>(t.coeff) * s.value;
+      } else {
+        row.terms[w++] = t;
+      }
+    }
+    if (w != row.terms.size()) {
+      changed = true;
+      row.terms.resize(w);
+      if (!fits(rhs)) {
+        aborted = true;
+        return false;
+      }
+      row.rhs = static_cast<long long>(rhs);
+    }
+    if (!row.terms.empty()) return true;
+    if ((row.rel == Relation::LessEq && row.rhs < 0) ||
+        (row.rel == Relation::GreaterEq && row.rhs > 0) ||
+        (row.rel == Relation::Equal && row.rhs != 0)) {
+      infeasible = true;
+    } else {
+      removeRow(r);
+    }
+    return false;
+  };
+
   int rounds = 0;
   changed = true;
   while (changed && !infeasible && !aborted && rounds < kMaxRounds) {
@@ -191,61 +279,18 @@ Reduction Reduction::reduce(const Problem& original,
     for (int r = 0; r < m && !infeasible && !aborted; ++r) {
       WRow& row = rows[static_cast<std::size_t>(r)];
       if (!row.alive || !integral[static_cast<std::size_t>(r)]) continue;
-
-      // (c) Fold fixed variables into the right-hand side.
-      {
-        std::size_t w = 0;
-        Int128 rhs = row.rhs;
-        for (const WTerm& t : row.terms) {
-          const VarState& s = vars[static_cast<std::size_t>(t.var)];
-          if (s.fixed) {
-            rhs -= static_cast<Int128>(t.coeff) * s.value;
-            changed = true;
-          } else {
-            row.terms[w++] = t;
-          }
-        }
-        if (w != row.terms.size()) {
-          row.terms.resize(w);
-          if (!fits(rhs)) {
-            aborted = true;
-            break;
-          }
-          row.rhs = static_cast<long long>(rhs);
-        }
-      }
-
-      // Empty row: verified exactly, then removed.
-      if (row.terms.empty()) {
-        const bool violated =
-            (row.rel == Relation::LessEq && row.rhs < 0) ||
-            (row.rel == Relation::GreaterEq && row.rhs > 0) ||
-            (row.rel == Relation::Equal && row.rhs != 0);
-        if (violated) {
-          infeasible = true;
-          break;
-        }
-        removeRow(r);
-        continue;
-      }
+      if (!fold(r)) continue;
 
       // (b) Activity bounds from x >= 0 and harvested upper bounds.
       Bound minAct;
       Bound maxAct;
       for (const WTerm& t : row.terms) {
         const VarState& s = vars[static_cast<std::size_t>(t.var)];
-        if (t.coeff > 0) {
-          if (s.hasUb) {
-            maxAct.value += static_cast<Int128>(t.coeff) * s.ub;
-          } else {
-            maxAct.finite = false;
-          }
+        Bound& act = t.coeff > 0 ? maxAct : minAct;
+        if (s.hasUb) {
+          act.value += static_cast<Int128>(t.coeff) * s.ub;
         } else {
-          if (s.hasUb) {
-            minAct.value += static_cast<Int128>(t.coeff) * s.ub;
-          } else {
-            minAct.finite = false;
-          }
+          act.finite = false;
         }
       }
 
@@ -409,15 +454,10 @@ Reduction Reduction::reduce(const Problem& original,
       // variables still free at record time (reverse replay restores
       // later eliminations first).  Let the next round's fold clean the
       // row before it becomes a substitution pivot.
-      {
-        bool stale = false;
-        for (const WTerm& t : row.terms) {
-          if (vars[static_cast<std::size_t>(t.var)].eliminated()) {
-            stale = true;
-            break;
-          }
-        }
-        if (stale) continue;
+      if (std::any_of(row.terms.begin(), row.terms.end(), [&](const WTerm& t) {
+            return vars[static_cast<std::size_t>(t.var)].eliminated();
+          })) {
+        continue;
       }
 
       int pick = -1;
@@ -445,90 +485,39 @@ Reduction Reduction::reduce(const Problem& original,
       }
       if (pick < 0) continue;
 
-      // Fill-in cap: count the other alive rows carrying v.
-      int occurrences = 0;
-      for (int i = 0; i < m && occurrences <= kMaxSubstOccurrences; ++i) {
-        if (i == r || !rows[static_cast<std::size_t>(i)].alive) continue;
-        if (!integral[static_cast<std::size_t>(i)]) continue;
-        for (const WTerm& t : rows[static_cast<std::size_t>(i)].terms) {
-          if (t.var == pick) {
-            ++occurrences;
-            break;
-          }
+      // The other rows carrying v, from the index (stale entries are
+      // dropped for good).  Each is rewritten into staging, and all are
+      // committed only when every rewrite fits.
+      std::vector<int>& index = carriers[static_cast<std::size_t>(pick)];
+      std::sort(index.begin(), index.end());
+      index.erase(std::unique(index.begin(), index.end()), index.end());
+      index.erase(std::remove_if(index.begin(), index.end(),
+                                 [&](int i) {
+                                   const WRow& c =
+                                       rows[static_cast<std::size_t>(i)];
+                                   return !c.alive || !c.find(pick);
+                                 }),
+                  index.end());
+      if (index.size() > kMaxSubstCarriers + 1) continue;  // + pivot row
+      std::vector<std::pair<int, WRow>> staged;
+      for (const int i : index) {
+        if (i == r) continue;
+        staged.emplace_back(i, WRow{});
+        if (!eliminate(rows[static_cast<std::size_t>(i)], row, pick, av,
+                       &staged.back().second)) {
+          aborted = true;
+          break;
         }
       }
-      if (occurrences > kMaxSubstOccurrences) continue;
-
-      // Dry-run the rewritten rows in 128-bit; abort on overflow.
-      bool ok = true;
-      for (int i = 0; i < m && ok; ++i) {
-        WRow& other = rows[static_cast<std::size_t>(i)];
-        if (i == r || !other.alive || !integral[static_cast<std::size_t>(i)]) {
-          continue;
-        }
-        long long b = 0;
-        for (const WTerm& t : other.terms) {
-          if (t.var == pick) b = t.coeff;
-        }
-        if (b == 0) continue;
-        const Int128 f = static_cast<Int128>(b) * av;
+      if (aborted) break;
+      for (auto& [i, rewritten] : staged) {
+        rows[static_cast<std::size_t>(i)] = std::move(rewritten);
         for (const WTerm& t : row.terms) {
-          if (t.var == pick) continue;
-          Int128 cur = 0;
-          for (const WTerm& u : other.terms) {
-            if (u.var == t.var) cur = u.coeff;
-          }
-          if (!fits(cur - f * t.coeff)) ok = false;
+          carriers[static_cast<std::size_t>(t.var)].push_back(i);
         }
-        if (!fits(static_cast<Int128>(other.rhs) - f * row.rhs)) ok = false;
-      }
-      if (!ok) {
-        aborted = true;
-        break;
       }
 
-      // Commit: rewrite every other row and record the restore formula v = av*rhs - sum av*a_j x_j.
-      for (int i = 0; i < m; ++i) {
-        WRow& other = rows[static_cast<std::size_t>(i)];
-        if (i == r || !other.alive || !integral[static_cast<std::size_t>(i)]) {
-          continue;
-        }
-        long long b = 0;
-        for (const WTerm& t : other.terms) {
-          if (t.var == pick) b = t.coeff;
-        }
-        if (b == 0) continue;
-        const long long f = b * av;
-        std::vector<WTerm> merged;
-        merged.reserve(other.terms.size() + row.terms.size());
-        auto it = other.terms.begin();
-        auto jt = row.terms.begin();
-        while (it != other.terms.end() || jt != row.terms.end()) {
-          if (jt == row.terms.end() ||
-              (it != other.terms.end() && it->var < jt->var)) {
-            if (it->var != pick) merged.push_back(*it);
-            ++it;
-          } else if (it == other.terms.end() || jt->var < it->var) {
-            if (jt->var != pick) {
-              merged.push_back(WTerm{jt->var, -f * jt->coeff});
-            }
-            ++jt;
-          } else {
-            if (it->var != pick) {
-              merged.push_back(WTerm{it->var, it->coeff - f * jt->coeff});
-            }
-            ++it;
-            ++jt;
-          }
-        }
-        merged.erase(std::remove_if(merged.begin(), merged.end(),
-                                    [](const WTerm& t) {
-                                      return t.coeff == 0;
-                                    }),
-                     merged.end());
-        other.terms = std::move(merged);
-        other.rhs -= f * row.rhs;
-      }
+      // Record the restore formula v = av*rhs - sum av*a_j x_j.
       Restore restore;
       restore.var = pick;
       restore.constant = static_cast<double>(av) *
@@ -545,6 +534,14 @@ Reduction Reduction::reduce(const Problem& original,
       removeRow(r);
     }
   }
+
+  // Final sweep: fold variables fixed in the last round.
+  for (int r = 0; r < m && !infeasible && !aborted; ++r) {
+    if (rows[static_cast<std::size_t>(r)].alive &&
+        integral[static_cast<std::size_t>(r)]) {
+      fold(r);
+    }
+  }
   out.counters_.presolveRounds = rounds;
 
   if (aborted) {
@@ -558,45 +555,6 @@ Reduction Reduction::reduce(const Problem& original,
   if (infeasible) {
     out.infeasible_ = true;
     return out;
-  }
-
-  // Final sweep: fold variables fixed in the last round into any row
-  // still carrying them, removing rows that empty out (their exactness
-  // checks mirror the loop above).
-  for (int r = 0; r < m; ++r) {
-    WRow& row = rows[static_cast<std::size_t>(r)];
-    if (!row.alive || !integral[static_cast<std::size_t>(r)]) continue;
-    std::size_t w = 0;
-    Int128 rhs = row.rhs;
-    for (const WTerm& t : row.terms) {
-      const VarState& s = vars[static_cast<std::size_t>(t.var)];
-      if (s.fixed) {
-        rhs -= static_cast<Int128>(t.coeff) * s.value;
-      } else {
-        row.terms[w++] = t;
-      }
-    }
-    if (w != row.terms.size()) {
-      row.terms.resize(w);
-      if (!fits(rhs)) {
-        Reduction fresh;
-        fresh.origVars_ = n;
-        fresh.counters_.presolveRounds = rounds;
-        return fresh;
-      }
-      row.rhs = static_cast<long long>(rhs);
-    }
-    if (row.terms.empty()) {
-      const bool violated =
-          (row.rel == Relation::LessEq && row.rhs < 0) ||
-          (row.rel == Relation::GreaterEq && row.rhs > 0) ||
-          (row.rel == Relation::Equal && row.rhs != 0);
-      if (violated) {
-        out.infeasible_ = true;
-        return out;
-      }
-      removeRow(r);
-    }
   }
 
   // Assemble the maps and the reduced problem.

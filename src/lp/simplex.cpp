@@ -50,7 +50,7 @@ FeasibleLp::FeasibleLp(const Problem& problem, const SimplexOptions& options)
   // reduction is dropped again when it removed nothing (the copy would
   // only add overhead) and short-circuits exact infeasibility.
   if (options.presolve) {
-    Reduction r = Reduction::reduce(problem, options);
+    Reduction r = Reduction::reduce(problem);
     presolve_ = r.counters();
     if (r.provedInfeasible()) return;
     if (r.effective()) reduction_.emplace(std::move(r));

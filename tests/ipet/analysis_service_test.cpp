@@ -5,6 +5,7 @@
 // resolution goes through the injected ProgramResolver seam.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
 #include <optional>
 #include <string>
@@ -328,6 +329,58 @@ TEST(AnalysisService, LpInputOutOfNodesDegradesToItsRootRelaxation) {
   EXPECT_EQ(exact.bound.lo, 1);
   EXPECT_EQ(exact.bound.hi, 1);
   EXPECT_EQ(exact.stats.relaxedSets, 0);
+}
+
+TEST(AnalysisService, LpInputFractionalOptimumRoundsOutward) {
+  // min 0.5 x over integers x >= 3: the optimum 1.5 is no integer, so
+  // the best case is its floor and, the system being one-sided, the
+  // worst case its ceiling.  Rounding to nearest gave [2, 2].
+  AnalysisService service;
+  AnalysisRequest request;
+  request.lpInput = true;
+  request.source =
+      "Minimize\n obj: 0.5 x\nSubject To\n c0: x >= 3\nGeneral\n x\nEnd\n";
+  const Estimate estimate = service.analyze(request).estimate;
+  EXPECT_EQ(estimate.bound.lo, 1);
+  EXPECT_EQ(estimate.bound.hi, 2);
+  EXPECT_TRUE(estimate.sound());
+  ASSERT_EQ(estimate.setRecords.size(), 1u);
+  EXPECT_EQ(estimate.setRecords[0].verdict, SetVerdict::Exact);
+  EXPECT_EQ(estimate.setRecords[0].best.objective, 1);
+}
+
+TEST(AnalysisService, ObjectivePastInt64SaturatesAsRelaxed) {
+  // Two nested loops of up to 4e9 iterations run the inner body up to
+  // 1.6e19 times, past int64: the counts are no exact integers, and
+  // rounding the double to nearest wrapped the worst case to INT64_MIN
+  // while calling it exact.
+  AnalysisService service;
+  AnalysisRequest request;
+  request.source =
+      "int acc;\n"
+      "void f() {\n"
+      "  int i;\n"
+      "  int j;\n"
+      "  for (i = 0; i < 10; i = i + 1) {\n"
+      "    __loopbound(0, 4000000000);\n"
+      "    for (j = 0; j < 10; j = j + 1) {\n"
+      "      __loopbound(0, 4000000000);\n"
+      "      acc = acc + j;\n"
+      "    }\n"
+      "  }\n"
+      "}";
+  request.root = "f";
+  const Estimate estimate = service.analyze(request).estimate;
+  EXPECT_EQ(estimate.bound.hi, std::numeric_limits<std::int64_t>::max());
+  EXPECT_GT(estimate.bound.lo, 0);
+  ASSERT_EQ(estimate.setRecords.size(), 1u);
+  const SetSolveRecord& record = estimate.setRecords[0];
+  EXPECT_EQ(record.verdict, SetVerdict::Relaxed);
+  EXPECT_EQ(record.issue, ErrorCode::NumericOverflow);
+  EXPECT_EQ(record.worst.objective, std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(estimate.stats.relaxedSets, 1);
+  // A relaxed result is never admitted to the cache.
+  EXPECT_EQ(service.cache().boundEntries(), 0u);
 }
 
 TEST(AnalysisService, LpInputHonoursThePresolveSwitch) {

@@ -1,6 +1,8 @@
 // LP-format writer and reader tests.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "cinderella/codegen/codegen.hpp"
 #include "cinderella/ilp/branch_and_bound.hpp"
 #include "cinderella/ipet/analyzer.hpp"
@@ -211,6 +213,23 @@ TEST(LpParse, RejectsMalformedInput) {
                           "Maximize\n obj: y\nSubject To\n y <= 1\nEnd\n"),
       ParseError);
   EXPECT_THROW((void)parseLpFormatAll("\\ only a comment\n"), ParseError);
+}
+
+TEST(LpParse, RejectsNonFiniteNumbers) {
+  // 1e999 overflows a double to infinity; accepted, it made the
+  // objective coefficient infinite and the optimum with it.
+  for (const char* text :
+       {"Maximize\n obj: 1e999 x\nSubject To\n x <= 3\nEnd\n",
+        "Maximize\n obj: x\nSubject To\n x <= 1e999\nEnd\n"}) {
+    SCOPED_TRACE(text);
+    try {
+      (void)parseLpFormat(text);
+      ADD_FAILURE() << "accepted a non-finite number";
+    } catch (const ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find("'1e999'"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(LpParse, ParsedProblemSolvesLikeTheOriginal) {
